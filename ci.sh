@@ -65,3 +65,10 @@ cargo run --release --offline -p chaser-bench --bin perf_smoke
 # injections/sec over trace=full. Merges injections_per_sec_off /
 # injections_per_sec_full / statistical_speedup into BENCH_engine.json.
 cargo run --release --offline -p chaser-bench --bin statistical_smoke
+
+# Benchmark crate: perfbench/ is a cargo package of its own (not a
+# workspace member), so the workspace build above never compiles it. Build
+# it against the library crates and run its self-test (every workload in
+# tiny mode, both trace levels) so a library change that breaks the
+# benchmark fails here. --locked keeps its lockfile as committed.
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml

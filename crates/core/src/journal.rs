@@ -154,9 +154,17 @@ fn encode_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let a single line
+/// of `[` — from a journal file or a socket frame — overflow the stack.
+/// Everything the codec writes nests a handful of levels deep.
+const MAX_JSON_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 fn bad(msg: impl Into<String>) -> JournalError {
@@ -170,9 +178,25 @@ fn bad(msg: impl Into<String>) -> JournalError {
 impl<'a> Parser<'a> {
     fn new(line: &'a str) -> Parser<'a> {
         Parser {
+            text: line,
             bytes: line.as_bytes(),
             pos: 0,
+            depth: 0,
         }
+    }
+
+    /// Opens one array/object level, refusing to go past
+    /// [`MAX_JSON_DEPTH`]. Paired with a `self.depth -= 1` on success.
+    fn enter(&mut self, open: u8) -> Result<(), JournalError> {
+        self.expect(open)?;
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(bad(format!(
+                "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn skip_ws(&mut self) {
@@ -243,9 +267,10 @@ impl<'a> Parser<'a> {
     fn string(&mut self) -> Result<String, JournalError> {
         self.expect(b'"')?;
         let mut out = String::new();
-        // Operate on the original &str slice to keep UTF-8 intact.
-        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-            .map_err(|_| bad("invalid UTF-8 in string"))?;
+        // Slice the original &str to keep UTF-8 intact: `pos` always sits
+        // on a char boundary, so this is O(1), not a re-validation of the
+        // rest of the line per string.
+        let rest = &self.text[self.pos..];
         let mut chars = rest.char_indices();
         loop {
             let (i, c) = chars.next().ok_or_else(|| bad("unterminated string"))?;
@@ -283,10 +308,11 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self) -> Result<Json, JournalError> {
-        self.expect(b'[')?;
+        self.enter(b'[')?;
         let mut items = Vec::new();
         if self.peek() == Some(b']') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Json::Arr(items));
         }
         loop {
@@ -295,6 +321,7 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Json::Arr(items));
                 }
                 _ => return Err(bad("expected `,` or `]`")),
@@ -303,10 +330,11 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Json, JournalError> {
-        self.expect(b'{')?;
+        self.enter(b'{')?;
         let mut fields = Vec::new();
         if self.peek() == Some(b'}') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Json::Obj(fields));
         }
         loop {
@@ -317,6 +345,7 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Json::Obj(fields));
                 }
                 _ => return Err(bad("expected `,` or `}`")),
@@ -1390,6 +1419,66 @@ mod tests {
         let mut line = String::new();
         encode(&v, &mut line);
         assert_eq!(parse_json(&line).expect("parse"), v);
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+        let line = "[".repeat(100_000);
+        match parse_json(&line) {
+            Err(JournalError::Malformed { msg, .. }) => {
+                assert!(msg.contains("nesting deeper than"), "{msg}")
+            }
+            other => panic!("expected a depth error, got {other:?}"),
+        }
+        let objs = "{\"a\":".repeat(100_000);
+        assert!(matches!(
+            parse_json(&objs),
+            Err(JournalError::Malformed { .. })
+        ));
+    }
+
+    #[test]
+    fn nesting_up_to_the_cap_parses() {
+        let line = format!(
+            "{}{}",
+            "[".repeat(MAX_JSON_DEPTH),
+            "]".repeat(MAX_JSON_DEPTH)
+        );
+        let mut v = parse_json(&line).expect("depth at the cap parses");
+        for _ in 1..MAX_JSON_DEPTH {
+            v = match v {
+                Json::Arr(mut items) => items.pop().expect("one nested level"),
+                other => panic!("expected an array, got {other:?}"),
+            };
+        }
+        assert_eq!(v, Json::Arr(Vec::new()));
+        let over = format!(
+            "{}{}",
+            "[".repeat(MAX_JSON_DEPTH + 1),
+            "]".repeat(MAX_JSON_DEPTH + 1)
+        );
+        assert!(parse_json(&over).is_err());
+    }
+
+    #[test]
+    fn megabyte_line_of_short_strings_parses() {
+        let n = 200_000;
+        let mut line = String::from("[");
+        for i in 0..n {
+            if i > 0 {
+                line.push(',');
+            }
+            line.push_str("\"ab\"");
+        }
+        line.push(']');
+        assert!(line.len() >= 1_000_000);
+        match parse_json(&line).expect("parse") {
+            Json::Arr(items) => {
+                assert_eq!(items.len(), n);
+                assert!(items.iter().all(|v| *v == Json::Str("ab".into())));
+            }
+            other => panic!("expected an array, got {other:?}"),
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::mem::{MemFault, PhysMemory};
 use crate::node::SliceExit;
 use crate::paging::{AddressSpace, PagePerms};
 use crate::process::{MpiRequest, ProcState, Process};
-use chaser_isa::{abi, Flags, Instruction, PAGE_SIZE};
+use chaser_isa::{abi, Flags, Instruction, INSN_LEN, PAGE_SIZE};
 use chaser_taint::{PropKind, ProvSet, TaintMask, TaintState};
 use chaser_tcg::{
     translate_block, ChainFollow, ChainSlot, CodeFetcher, DispatchBlock, Global, TbCache, TcgOp,
@@ -239,57 +239,176 @@ fn hot_chain_superblock(
     Some(sb)
 }
 
-/// Exit disposition of the fully-clean block executor.
-enum CleanStep {
+/// How a block left off. Every variant but `LeaveClean` is a block exit
+/// with `proc` in its architectural exit state, handled by the one exit
+/// `match` in [`run_slice`]. Two words wide, so it returns in registers.
+enum BlockExit {
     /// Direct-jump terminator reached; `pc` is set, chain through `slot`.
     Chain(ChainSlot),
     /// Indirect terminator reached; `pc` is set, dispatch without chaining.
     NoChain,
-    /// The quantum/budget bound hit at an instruction boundary; `pc` is set
-    /// to the safe resume point.
-    Limit,
-    /// An MPI hypercall; `pc` is set to the resume point and the request
-    /// registers are untouched, so the caller rebuilds the `MpiRequest`
-    /// (keeping this enum two words wide — returned in registers, not
-    /// through a stack slot).
-    Mpi(u16),
-    /// A kernel hypercall; `pc` is set to the resume point.
-    Kernel(u16),
-    Halt,
-    Fault(Signal),
-    /// An op this executor does not model (an injection callback); the
-    /// caller resumes the general loop at op index `idx`.
-    Bail(usize),
     /// A superblock guard side-exited at a fused member boundary; `pc` is
     /// set to the not-taken target. Dispatch without chaining: guards with
     /// different targets share the trace's one dispatch block, so a
     /// patched slot could be replayed for the wrong guard.
     SideExit,
+    /// The quantum/budget bound hit at an instruction boundary; `pc` is set
+    /// to the safe resume point.
+    Limit,
+    /// An MPI hypercall; `pc` is set to the resume point and the request
+    /// registers are untouched, so the caller builds the `MpiRequest`.
+    Mpi(u16),
+    /// A kernel hypercall; `pc` is set to the resume point.
+    Kernel(u16),
+    Halt,
+    Fault(Signal),
+    /// A callback of the clean executor (injection or guest function hook)
+    /// made taint appear: the rest of the block must run under the shadow
+    /// regime, from op index `op` of the instruction at `pc`.
+    LeaveClean {
+        op: u32,
+        pc: u64,
+    },
 }
 
-/// Executes one translation block under the fully-clean fast regime: no
-/// taint or provenance exists anywhere in the node (`fully_idle`), no guest
-/// function hooks are installed and no injector is wired, so every op
-/// reduces to its architectural effect. Keeping this loop entirely free of
-/// taint/hook/provenance code — rather than branching around it per op —
-/// shrinks the dispatch body enough to matter: the win is code locality and
-/// register pressure, not the (predictable) branches themselves.
-///
-/// On `Bail` the caller re-enters the general loop at the offending op with
-/// `executed` and the counters already flushed; every other variant is a
-/// block exit with `proc` in its architectural exit state.
+const _: () = assert!(std::mem::size_of::<BlockExit>() <= 16);
+
+/// Per-slice invariants shared by every block the slice dispatches.
+struct SliceEnv<'a> {
+    node_id: u32,
+    pid: u64,
+    hooks: &'a NodeHooks,
+    has_fn_hooks: bool,
+    /// `proc.icount` at slice start; the live count is `icount_base +
+    /// executed`.
+    icount_base: u64,
+    /// The quantum and the run budget fused into one bound, leaving a
+    /// single compare per instruction.
+    limit: u64,
+    fast_path: bool,
+}
+
+/// Fires the guest function hook `hook_id` on entry to the instruction at
+/// `pc` (MPI interception). May taint registers or memory.
 #[inline(never)]
-fn run_tb_clean(
-    tb: &TranslationBlock,
+fn call_fn_hook(
+    env: &SliceEnv<'_>,
+    hook_id: u64,
     proc: &mut Process,
     phys: &mut PhysMemory,
+    taint: &mut TaintState,
+    icount: u64,
+    pc: u64,
+) {
+    if let Some(sink) = &env.hooks.fn_hook_sink {
+        let mut ctx = GuestCtx {
+            cpu: &mut proc.cpu,
+            aspace: &proc.aspace,
+            phys,
+            taint,
+            node: env.node_id,
+            pid: env.pid,
+            icount,
+            pc,
+        };
+        sink.lock().on_fn_entry(hook_id, &mut ctx);
+    }
+}
+
+/// Fires the injection callback spliced in front of the instruction at
+/// `pc`. May corrupt and taint guest state, and flush the cache (the
+/// running block stays alive through its dispatch `Arc`).
+// Out of line so neither executor instantiation carries the callback's
+// context set-up in its dispatch body.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn call_inject(
+    env: &SliceEnv<'_>,
+    tb: &TranslationBlock,
+    point: u64,
+    pc: u64,
+    proc: &mut Process,
+    phys: &mut PhysMemory,
+    taint: &mut TaintState,
+    cache: &mut TbCache,
+    icount: u64,
+) {
+    let Some(sink) = &env.hooks.inject else {
+        return;
+    };
+    let insn = insn_at(tb, pc);
+    let mut ctx = GuestCtx {
+        cpu: &mut proc.cpu,
+        aspace: &proc.aspace,
+        phys,
+        taint,
+        node: env.node_id,
+        pid: env.pid,
+        icount,
+        pc,
+    };
+    let action = sink.lock().on_inject_point(point, &insn, &mut ctx);
+    if action.flush_tb {
+        cache.flush();
+    }
+}
+
+/// The decoded instruction at `pc` in `tb`. The instructions of a plain
+/// block, and of each fused member, sit at consecutive pcs from its start,
+/// so this is one index computation per member, not a scan. Unrolled
+/// superblock copies of one pc decode to the same instruction, so the first
+/// hit is the right one.
+fn insn_at(tb: &TranslationBlock, pc: u64) -> Instruction {
+    let members = tb.member_boundaries().iter();
+    std::iter::once((tb.start_pc(), 0))
+        .chain(members.map(|m| (m.start_pc, m.insn_start)))
+        .find_map(|(start_pc, insn_start)| {
+            let idx = insn_start + (pc.checked_sub(start_pc)? / INSN_LEN) as usize;
+            let &(at, insn) = tb.insns().get(idx)?;
+            (at == pc).then_some(insn)
+        })
+        .unwrap_or(Instruction::Nop)
+}
+
+/// Executes one translation block from op `start_op`, `cur_pc` being the
+/// pc of the instruction that op belongs to.
+///
+/// `SHADOW = false` is the fully-clean regime: nothing in the node carries
+/// taint or provenance (`fully_idle`), so every propagation would be
+/// clean-in ⇒ clean-out (`TaintPolicy::propagate` guarantees it) and each
+/// op reduces to its architectural effect. This instantiation contains no
+/// per-op taint or provenance code at all — the win is code locality and
+/// register pressure, not the (predictable) branches themselves. Its only
+/// taint sources are the injection and guest-function-hook callbacks; if
+/// one leaves taint behind, the block returns [`BlockExit::LeaveClean`] and
+/// the caller resumes it under `SHADOW = true` at the next op (locals were
+/// all-clean up to there, so materializing their shadow then is exact).
+///
+/// `SHADOW = true` propagates taint and provenance for every op and buffers
+/// tainted-memory events.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn exec_block<const SHADOW: bool>(
+    env: &SliceEnv<'_>,
+    tb: &TranslationBlock,
+    start_op: usize,
+    mut cur_pc: u64,
+    proc: &mut Process,
+    phys: &mut PhysMemory,
+    taint: &mut TaintState,
+    cache: &mut TbCache,
     locals: &mut [u64],
     executed: &mut u64,
-    limit: u64,
-    fast: &mut u64,
-) -> CleanStep {
+    hot: &mut HotCounters,
+    taint_buf: &mut Vec<BufferedTaintEvent>,
+) -> BlockExit {
+    // Slice-local copies of the counters stay register resident.
     let mut exec = *executed;
     let mut n_fast = 0u64;
+    let mut n_slow = 0u64;
+    let (limit, has_fn_hooks) = (env.limit, env.has_fn_hooks);
+    let policy = taint.policy();
+    let taint_on = taint.is_enabled();
 
     macro_rules! val {
         ($t:expr) => {
@@ -309,91 +428,187 @@ fn run_tb_clean(
             }
         };
     }
+    macro_rules! binop {
+        ($d:expr, $a:expr, $b:expr, $kindv:expr, $op:expr) => {{
+            let (av, bv) = (val!($a), val!($b));
+            let out: u64 = $op(av, bv);
+            setval!($d, out);
+            if SHADOW {
+                let (ta, tb_) = (taint.temp($a), taint.temp($b));
+                let kind = $kindv(av, bv, tb_);
+                let m = policy.propagate(kind, ta, tb_);
+                taint.set_temp2($d, m, $a, $b);
+            }
+        }};
+    }
+    // Takes the exit label as an argument: labels are hygienic.
+    macro_rules! divop {
+        ($exit:lifetime, $d:expr, $a:expr, $b:expr, $op:expr) => {{
+            let (av, bv) = (val!($a), val!($b));
+            if bv == 0 {
+                break $exit BlockExit::Fault(Signal::Fpe);
+            }
+            setval!($d, $op(av, bv));
+            if SHADOW {
+                let m = policy.propagate(PropKind::Div, taint.temp($a), taint.temp($b));
+                taint.set_temp2($d, m, $a, $b);
+            }
+        }};
+    }
+    macro_rules! taint_event {
+        ($kind:expr, $vaddr:expr, $paddr:expr, $mask:expr, $value:expr, $prov:expr) => {
+            if $mask.is_tainted() && env.hooks.taint_events {
+                taint_buf.push(BufferedTaintEvent {
+                    kind: $kind,
+                    ev: TaintMemEvent {
+                        node: env.node_id,
+                        pid: env.pid,
+                        eip: cur_pc,
+                        vaddr: $vaddr,
+                        paddr: $paddr,
+                        taint: $mask,
+                        value: $value,
+                        icount: env.icount_base + exec,
+                        prov: $prov,
+                    },
+                });
+            }
+        };
+    }
 
-    let step = 'run: {
-        for (idx, op) in tb.ops().iter().enumerate() {
+    let mut ops = tb.ops()[start_op..].iter();
+    // Index of the op after the current one, for `LeaveClean`: derived
+    // from the iterator's remaining length, so the loop keeps no counter.
+    macro_rules! next_op {
+        () => {
+            (tb.ops().len() - ops.len()) as u32
+        };
+    }
+
+    let exit = 'run: {
+        while let Some(op) = ops.next() {
             match *op {
                 TcgOp::InsnStart { pc } => {
                     if exec >= limit {
                         // Safe resume point: the instruction has not begun.
                         proc.cpu.pc = pc;
-                        break 'run CleanStep::Limit;
+                        break 'run BlockExit::Limit;
                     }
                     exec += 1;
+                    if SHADOW {
+                        cur_pc = pc;
+                    }
+                    if has_fn_hooks {
+                        if let Some(&hook_id) = env.hooks.fn_hooks.get(&(env.pid, pc)) {
+                            let icount = env.icount_base + exec;
+                            call_fn_hook(env, hook_id, proc, phys, taint, icount, pc);
+                            if !SHADOW && !taint.fully_idle() {
+                                break 'run BlockExit::LeaveClean { op: next_op!(), pc };
+                            }
+                        }
+                    }
                 }
-                TcgOp::Movi { d, imm } => setval!(d, imm),
+                TcgOp::Movi { d, imm } => {
+                    setval!(d, imm);
+                    if SHADOW {
+                        taint.set_temp(d, TaintMask::CLEAN);
+                    }
+                }
                 TcgOp::Mov { d, s } => {
                     let v = val!(s);
                     setval!(d, v);
+                    if SHADOW {
+                        let m = taint.temp(s);
+                        taint.set_temp1(d, m, s);
+                    }
                 }
                 TcgOp::Add { d, a, b } => {
-                    let v = val!(a).wrapping_add(val!(b));
-                    setval!(d, v);
+                    binop!(d, a, b, |_a, _b, _tb| PropKind::AddSub, |x: u64, y: u64| x
+                        .wrapping_add(y))
                 }
                 TcgOp::Sub { d, a, b } => {
-                    let v = val!(a).wrapping_sub(val!(b));
-                    setval!(d, v);
+                    binop!(d, a, b, |_a, _b, _tb| PropKind::AddSub, |x: u64, y: u64| x
+                        .wrapping_sub(y))
                 }
                 TcgOp::Addi { d, a, imm } => {
-                    let v = val!(a).wrapping_add(imm);
-                    setval!(d, v);
+                    let out = val!(a).wrapping_add(imm);
+                    setval!(d, out);
+                    if SHADOW {
+                        // The immediate operand is CLEAN with empty
+                        // provenance, so this is exactly `Add` with a clean
+                        // `b`: same kind, source provenance from `a` alone.
+                        let m = policy.propagate(PropKind::AddSub, taint.temp(a), TaintMask::CLEAN);
+                        taint.set_temp1(d, m, a);
+                    }
                 }
                 TcgOp::Mul { d, a, b } => {
-                    let v = val!(a).wrapping_mul(val!(b));
-                    setval!(d, v);
+                    binop!(d, a, b, |_a, _b, _tb| PropKind::Mul, |x: u64, y: u64| x
+                        .wrapping_mul(y))
                 }
-                TcgOp::Divs { d, a, b } => {
-                    let (av, bv) = (val!(a), val!(b));
-                    if bv == 0 {
-                        break 'run CleanStep::Fault(Signal::Fpe);
-                    }
-                    setval!(d, (av as i64).wrapping_div(bv as i64) as u64);
-                }
-                TcgOp::Divu { d, a, b } => {
-                    let (av, bv) = (val!(a), val!(b));
-                    if bv == 0 {
-                        break 'run CleanStep::Fault(Signal::Fpe);
-                    }
-                    setval!(d, av / bv);
-                }
-                TcgOp::Remu { d, a, b } => {
-                    let (av, bv) = (val!(a), val!(b));
-                    if bv == 0 {
-                        break 'run CleanStep::Fault(Signal::Fpe);
-                    }
-                    setval!(d, av % bv);
-                }
-                TcgOp::And { d, a, b } => {
-                    let v = val!(a) & val!(b);
-                    setval!(d, v);
-                }
-                TcgOp::Or { d, a, b } => {
-                    let v = val!(a) | val!(b);
-                    setval!(d, v);
-                }
+                TcgOp::Divs { d, a, b } => divop!('run, d, a, b, |x: u64, y: u64| {
+                    (x as i64).wrapping_div(y as i64) as u64
+                }),
+                TcgOp::Divu { d, a, b } => divop!('run, d, a, b, |x: u64, y: u64| x / y),
+                TcgOp::Remu { d, a, b } => divop!('run, d, a, b, |x: u64, y: u64| x % y),
+                TcgOp::And { d, a, b } => binop!(
+                    d,
+                    a,
+                    b,
+                    |av, bv, _tb| PropKind::And { a: av, b: bv },
+                    |x: u64, y: u64| x & y
+                ),
+                TcgOp::Or { d, a, b } => binop!(
+                    d,
+                    a,
+                    b,
+                    |av, bv, _tb| PropKind::Or { a: av, b: bv },
+                    |x: u64, y: u64| x | y
+                ),
                 TcgOp::Xor { d, a, b } => {
-                    let v = val!(a) ^ val!(b);
-                    setval!(d, v);
+                    binop!(d, a, b, |_a, _b, _tb| PropKind::Xor, |x: u64, y: u64| x ^ y)
                 }
-                TcgOp::Shl { d, a, b } => {
-                    let v = val!(a) << (val!(b) & 63);
-                    setval!(d, v);
-                }
-                TcgOp::Shr { d, a, b } => {
-                    let v = val!(a) >> (val!(b) & 63);
-                    setval!(d, v);
-                }
-                TcgOp::Sar { d, a, b } => {
-                    let v = ((val!(a) as i64) >> (val!(b) & 63)) as u64;
-                    setval!(d, v);
-                }
+                TcgOp::Shl { d, a, b } => binop!(
+                    d,
+                    a,
+                    b,
+                    |_av, bv: u64, tb_: TaintMask| PropKind::Shl {
+                        amount: tb_.is_clean().then_some((bv & 63) as u32)
+                    },
+                    |x: u64, y: u64| x << (y & 63)
+                ),
+                TcgOp::Shr { d, a, b } => binop!(
+                    d,
+                    a,
+                    b,
+                    |_av, bv: u64, tb_: TaintMask| PropKind::Shr {
+                        amount: tb_.is_clean().then_some((bv & 63) as u32)
+                    },
+                    |x: u64, y: u64| x >> (y & 63)
+                ),
+                TcgOp::Sar { d, a, b } => binop!(
+                    d,
+                    a,
+                    b,
+                    |_av, bv: u64, tb_: TaintMask| PropKind::Sar {
+                        amount: tb_.is_clean().then_some((bv & 63) as u32)
+                    },
+                    |x: u64, y: u64| ((x as i64) >> (y & 63)) as u64
+                ),
                 TcgOp::Neg { d, a } => {
                     let v = (val!(a) as i64).wrapping_neg() as u64;
                     setval!(d, v);
+                    if SHADOW {
+                        let m = policy.propagate(PropKind::Neg, taint.temp(a), TaintMask::CLEAN);
+                        taint.set_temp1(d, m, a);
+                    }
                 }
                 TcgOp::Not { d, a } => {
                     let v = !val!(a);
                     setval!(d, v);
+                    if SHADOW {
+                        let m = policy.propagate(PropKind::Not, taint.temp(a), TaintMask::CLEAN);
+                        taint.set_temp1(d, m, a);
+                    }
                 }
                 TcgOp::SetFlagsInt { a, b } => {
                     proc.cpu.flags = Flags::from_int_cmp(val!(a), val!(b));
@@ -407,28 +622,111 @@ fn run_tb_clean(
                 }
                 TcgOp::QemuLd { d, addr, disp } => {
                     let vaddr = val!(addr).wrapping_add(disp as u64);
-                    n_fast += 1;
-                    match proc.aspace.read_u64(phys, vaddr) {
-                        Ok(value) => setval!(d, value),
-                        Err(_) => break 'run CleanStep::Fault(Signal::Segv),
+                    if !SHADOW || !taint_on {
+                        // Fully clean, or taint machinery disabled: `d`'s
+                        // shadow is already clean and its provenance empty,
+                        // so even the destination write is skipped.
+                        n_fast += 1;
+                        match proc.aspace.read_u64(phys, vaddr) {
+                            Ok(value) => setval!(d, value),
+                            Err(_) => break 'run BlockExit::Fault(Signal::Segv),
+                        }
+                    } else if env.fast_path && taint.mem_idle() {
+                        // Taint-idle fast path: the shadow holds no taint
+                        // and no provenance, so the load's mask is CLEAN
+                        // and its provenance EMPTY by construction — skip
+                        // the shadow reads and the (never-firing, since the
+                        // mask is clean) taint-read hook.
+                        n_fast += 1;
+                        match proc.aspace.read_u64(phys, vaddr) {
+                            Ok(value) => {
+                                setval!(d, value);
+                                taint.set_temp(d, TaintMask::CLEAN);
+                            }
+                            Err(_) => break 'run BlockExit::Fault(Signal::Segv),
+                        }
+                    } else {
+                        n_slow += 1;
+                        match load_u64_tainted(&proc.aspace, phys, taint, vaddr) {
+                            Ok((value, mask, prov, paddr)) => {
+                                setval!(d, value);
+                                taint.set_temp_with_prov(d, mask, prov);
+                                taint_event!(
+                                    TaintAccessKind::Read,
+                                    vaddr,
+                                    paddr,
+                                    mask,
+                                    value,
+                                    prov
+                                );
+                            }
+                            Err(_) => break 'run BlockExit::Fault(Signal::Segv),
+                        }
                     }
                 }
                 TcgOp::QemuSt { s, addr, disp } => {
                     let vaddr = val!(addr).wrapping_add(disp as u64);
                     let value = val!(s);
-                    n_fast += 1;
-                    if proc.aspace.write_u64(phys, vaddr, value).is_err() {
-                        break 'run CleanStep::Fault(Signal::Segv);
+                    // Fully clean or taint disabled: the stored mask is
+                    // clean over an all-clean shadow, a complete no-op on
+                    // every shadow structure. Taint-idle fast path: a clean
+                    // store over an all-clean shadow is a shadow no-op
+                    // (nothing to clear), its provenance write is empty,
+                    // and the taint-write hook cannot fire.
+                    if !SHADOW
+                        || !taint_on
+                        || (env.fast_path && taint.temp(s).is_clean() && taint.mem_idle())
+                    {
+                        n_fast += 1;
+                        if proc.aspace.write_u64(phys, vaddr, value).is_err() {
+                            break 'run BlockExit::Fault(Signal::Segv);
+                        }
+                    } else {
+                        n_slow += 1;
+                        let (mask, prov) = (taint.temp(s), taint.temp_prov(s));
+                        match store_u64_tainted(&proc.aspace, phys, taint, vaddr, value, mask, prov)
+                        {
+                            Ok(paddr) => {
+                                taint_event!(
+                                    TaintAccessKind::Write,
+                                    vaddr,
+                                    paddr,
+                                    mask,
+                                    value,
+                                    prov
+                                );
+                            }
+                            Err(_) => break 'run BlockExit::Fault(Signal::Segv),
+                        }
                     }
                 }
                 TcgOp::CallHelper { helper, d, a, b } => {
                     let out = helper.eval(val!(a), val!(b));
                     setval!(d, out);
+                    if SHADOW {
+                        let kind = match helper {
+                            chaser_tcg::Helper::CvtIF | chaser_tcg::Helper::CvtFI => PropKind::Cvt,
+                            _ => PropKind::Fp,
+                        };
+                        if helper.is_binary() {
+                            let m = policy.propagate(kind, taint.temp(a), taint.temp(b));
+                            taint.set_temp2(d, m, a, b);
+                        } else {
+                            let m = policy.propagate(kind, taint.temp(a), TaintMask::CLEAN);
+                            taint.set_temp1(d, m, a);
+                        }
+                    }
                 }
-                TcgOp::CallInject { .. } => break 'run CleanStep::Bail(idx),
+                TcgOp::CallInject { point, pc } => {
+                    let icount = env.icount_base + exec;
+                    call_inject(env, tb, point, pc, proc, phys, taint, cache, icount);
+                    if !SHADOW && !taint.fully_idle() {
+                        break 'run BlockExit::LeaveClean { op: next_op!(), pc };
+                    }
+                }
                 TcgOp::ExitTb { next } => {
                     proc.cpu.pc = next;
-                    break 'run CleanStep::Chain(ChainSlot::Taken);
+                    break 'run BlockExit::Chain(ChainSlot::Taken);
                 }
                 TcgOp::ExitTbCond {
                     cond,
@@ -442,28 +740,28 @@ fn run_tb_clean(
                         proc.cpu.pc = fallthrough;
                         ChainSlot::Fallthrough
                     };
-                    break 'run CleanStep::Chain(slot);
+                    break 'run BlockExit::Chain(slot);
                 }
                 TcgOp::SbGuard { cond, fallthrough } => {
                     if !proc.cpu.flags.holds(cond) {
                         proc.cpu.pc = fallthrough;
-                        break 'run CleanStep::SideExit;
+                        break 'run BlockExit::SideExit;
                     }
                 }
                 TcgOp::ExitTbIndirect { addr } => {
                     proc.cpu.pc = val!(addr);
-                    break 'run CleanStep::NoChain;
+                    break 'run BlockExit::NoChain;
                 }
                 TcgOp::Hypercall { num, next } => {
                     proc.cpu.pc = next;
                     if num >= abi::MPI_BASE {
-                        break 'run CleanStep::Mpi(num);
+                        break 'run BlockExit::Mpi(num);
                     }
-                    break 'run CleanStep::Kernel(num);
+                    break 'run BlockExit::Kernel(num);
                 }
-                TcgOp::Halt => break 'run CleanStep::Halt,
-                TcgOp::BadFetch { .. } => break 'run CleanStep::Fault(Signal::Segv),
-                TcgOp::BadDecode { .. } => break 'run CleanStep::Fault(Signal::Ill),
+                TcgOp::Halt => break 'run BlockExit::Halt,
+                TcgOp::BadFetch { .. } => break 'run BlockExit::Fault(Signal::Segv),
+                TcgOp::BadDecode { .. } => break 'run BlockExit::Fault(Signal::Ill),
             }
         }
         // A well-formed TB always ends in a terminator; reaching here means
@@ -471,8 +769,9 @@ fn run_tb_clean(
         unreachable!("translation block fell through without a terminator");
     };
     *executed = exec;
-    *fast += n_fast;
-    step
+    hot.fast += n_fast;
+    hot.slow += n_slow;
+    exit
 }
 
 /// Executes up to `quantum` guest instructions of `proc`, additionally
@@ -505,11 +804,6 @@ pub(crate) fn run_slice(
     }
 
     let mut executed: u64 = 0;
-    // `proc.icount` advances in lock-step with `executed`; instead of a
-    // second read-modify-write per instruction it is materialized as
-    // `icount_base + executed` at every point that observes it (hook
-    // contexts, taint events, kernel calls and slice exits).
-    let icount_base = proc.icount;
     let mut hot = HotCounters::default();
     let mut locals: Vec<u64> = Vec::new();
 
@@ -517,21 +811,28 @@ pub(crate) fn run_slice(
     // `&NodeHooks`, so presence checks and the translate-hook adapter are
     // resolved once instead of per dispatch / per instruction.
     let pid = proc.pid();
+    let env = SliceEnv {
+        node_id,
+        pid,
+        hooks,
+        has_fn_hooks: !hooks.fn_hooks.is_empty(),
+        // `proc.icount` advances in lock-step with `executed`; instead of a
+        // second read-modify-write per instruction it is materialized as
+        // `icount_base + executed` at every point that observes it (hook
+        // contexts, taint events, kernel calls and slice exits).
+        icount_base: proc.icount,
+        limit: quantum.min(insn_budget),
+        fast_path: tuning.taint_fast_path,
+    };
     let adapter = hooks.translate.as_ref().map(|h| HookAdapter {
         hook: h.as_ref(),
         node: node_id,
         pid,
     });
-    let has_fn_hooks = !hooks.fn_hooks.is_empty();
-    let track_inject = hooks.inject.is_some();
     let chaining = tuning.tb_chaining;
-    let fast_path = tuning.taint_fast_path;
     // Superblocks ride on chain links: without chaining there are no
     // follows to count and no chains to fuse.
     let sb_enabled = tuning.superblocks && chaining;
-    // The quantum and the run budget are checked at the same resume point;
-    // fusing them into one bound leaves a single compare per instruction.
-    let limit = quantum.min(insn_budget);
 
     // TB chaining state: a successor resolved by following a chain link
     // (dispatched without a cache lookup), and a predecessor slot awaiting
@@ -539,7 +840,17 @@ pub(crate) fn run_slice(
     let mut next_block: Option<Arc<DispatchBlock>> = None;
     let mut pending_patch: Option<(Arc<DispatchBlock>, ChainSlot)> = None;
 
-    'outer: loop {
+    // Materializes everything an observer outside the dispatch loop may
+    // read: `proc.icount` and the engine counters (kept in `hot`). Invoked
+    // at every slice exit.
+    macro_rules! sync_counters {
+        () => {
+            proc.icount = env.icount_base + executed;
+            hot.flush_into(stats);
+        };
+    }
+
+    loop {
         let start_pc = proc.cpu.pc;
         let db: Arc<DispatchBlock> = match next_block.take() {
             Some(db) => db,
@@ -599,21 +910,62 @@ pub(crate) fn run_slice(
         if fused {
             hot.sb_execs += 1;
         }
+        locals.clear();
+        locals.resize(tb.n_locals() as usize, 0u64);
 
-        // Resolves a direct-jump exit to `slot`: dispatch through the live
-        // link when one exists, otherwise fall back to the cache lookup and
-        // patch the slot afterwards. Taken-slot hits additionally feed the
-        // hotness counter that triggers superblock formation: exactly at
-        // the threshold the chain behind the link is fused and the link
-        // redirected at the trace.
-        macro_rules! chain_exit {
-            ($slot:expr) => {
+        macro_rules! exec {
+            ($shadow:literal, $op:expr, $pc:expr) => {
+                exec_block::<$shadow>(
+                    &env,
+                    tb,
+                    $op,
+                    $pc,
+                    proc,
+                    phys,
+                    taint,
+                    cache,
+                    &mut locals,
+                    &mut executed,
+                    &mut hot,
+                    taint_buf,
+                )
+            };
+        }
+        // Fully-clean fast regime: when *nothing* carries taint or
+        // provenance (an O(1) counter check), the block runs the executor
+        // instantiation with no shadow code, skipping even the per-block
+        // local-shadow reset.
+        let mut exit = if env.fast_path && taint.fully_idle() {
+            exec!(false, 0, start_pc)
+        } else {
+            taint.begin_block(tb.n_locals());
+            exec!(true, 0, start_pc)
+        };
+        if let BlockExit::LeaveClean { op, pc } = exit {
+            // A callback left taint behind mid-block: finish the block
+            // op-exact under the shadow regime.
+            taint.begin_block(tb.n_locals());
+            if fused {
+                // The fast regime ended mid-trace.
+                hot.sb_bails += 1;
+            }
+            exit = exec!(true, op as usize, pc);
+        }
+
+        match exit {
+            BlockExit::Chain(slot) => {
+                // Dispatch through the live link when one exists, otherwise
+                // fall back to the cache lookup and patch the slot
+                // afterwards. Taken-slot hits additionally feed the hotness
+                // counter that triggers superblock formation: exactly at
+                // the threshold the chain behind the link is fused and the
+                // link redirected at the trace.
                 if chaining {
-                    match cache.follow(&db, $slot) {
+                    match cache.follow(&db, slot) {
                         ChainFollow::Hit(succ) => {
                             hot.chain_hits += 1;
                             next_block = if sb_enabled
-                                && matches!($slot, ChainSlot::Taken)
+                                && matches!(slot, ChainSlot::Taken)
                                 && cache.note_taken_follow(&db) == SB_HOT_THRESHOLD
                             {
                                 hot_chain_superblock(cache, stats, pid, &db, &succ).or(Some(succ))
@@ -623,610 +975,61 @@ pub(crate) fn run_slice(
                         }
                         ChainFollow::Severed => {
                             hot.chain_severs += 1;
-                            pending_patch = Some((Arc::clone(&db), $slot));
+                            pending_patch = Some((Arc::clone(&db), slot));
                         }
                         ChainFollow::Unlinked => {
-                            pending_patch = Some((Arc::clone(&db), $slot));
+                            pending_patch = Some((Arc::clone(&db), slot));
                         }
                     }
                 }
-            };
-        }
-
-        // Fully-clean fast regime: when *nothing* carries taint or
-        // provenance (an O(1) counter check), every propagation in this
-        // block is clean-in ⇒ clean-out (`TaintPolicy::propagate`
-        // guarantees it), so all per-op shadow bookkeeping — including the
-        // per-block local-shadow reset — is skipped. Taint only ever
-        // originates from an injection callback; both in-block callback
-        // sites re-check the gate and drop back to the slow path.
-        let mut clean = fast_path && taint.fully_idle();
-        if !clean {
-            taint.begin_block(tb.n_locals());
-        }
-        locals.clear();
-        locals.resize(tb.n_locals() as usize, 0u64);
-
-        // Index into tb.insns() of the instruction currently executing.
-        let mut insn_idx: usize = 0;
-        let mut cur_pc = start_pc;
-
-        macro_rules! val {
-            ($t:expr) => {
-                match $t {
-                    Temp::Global(Global::Reg(r)) => proc.cpu.reg(r),
-                    Temp::Global(Global::FReg(r)) => proc.cpu.freg_bits(r),
-                    Temp::Local(i) => locals[i as usize],
-                }
-            };
-        }
-        macro_rules! setval {
-            ($t:expr, $v:expr) => {
-                match $t {
-                    Temp::Global(Global::Reg(r)) => proc.cpu.set_reg(r, $v),
-                    Temp::Global(Global::FReg(r)) => proc.cpu.set_freg_bits(r, $v),
-                    Temp::Local(i) => locals[i as usize] = $v,
-                }
-            };
-        }
-        // Materializes everything an observer outside the dispatch loop may
-        // read: `proc.icount` (kept as `icount_base + executed` while
-        // dispatching) and the engine counters (kept in `hot`). Invoked at
-        // every slice exit.
-        macro_rules! sync_counters {
-            () => {
-                proc.icount = icount_base + executed;
-                hot.flush_into(stats);
-            };
-        }
-        macro_rules! fault {
-            ($sig:expr) => {{
+            }
+            BlockExit::NoChain => {}
+            BlockExit::SideExit => hot.sb_bails += 1,
+            BlockExit::Limit => {
                 sync_counters!();
-                proc.terminate(ExitStatus::Signaled($sig));
-                return SliceExit::Exited(ExitStatus::Signaled($sig));
-            }};
-        }
-        macro_rules! binop {
-            ($d:expr, $a:expr, $b:expr, $kindv:expr, $op:expr) => {{
-                let (av, bv) = (val!($a), val!($b));
-                let out: u64 = $op(av, bv);
-                setval!($d, out);
-                if !clean {
-                    let (ta, tb_) = (taint.temp($a), taint.temp($b));
-                    let kind = $kindv(av, bv, tb_);
-                    let m = taint.policy().propagate(kind, ta, tb_);
-                    taint.set_temp2($d, m, $a, $b);
-                }
-            }};
-        }
-
-        // Fully-clean blocks with no hooks in play dispatch through the
-        // specialized executor, which carries no taint/hook/provenance code
-        // at all (see `run_tb_clean`). `Bail` re-enters the general loop
-        // below at the op the executor does not model; the gate guarantees
-        // nothing in the block can flip the clean regime mid-block, so
-        // `clean` stays true across the bail.
-        let mut start_op = 0usize;
-        if clean && !has_fn_hooks && !track_inject {
-            match run_tb_clean(
-                tb,
-                proc,
-                phys,
-                &mut locals,
-                &mut executed,
-                limit,
-                &mut hot.fast,
-            ) {
-                CleanStep::Chain(slot) => {
-                    chain_exit!(slot);
-                    continue 'outer;
-                }
-                CleanStep::NoChain => continue 'outer,
-                CleanStep::Limit => {
-                    sync_counters!();
-                    // The budget binding is terminal for the run, so it
-                    // wins over a simultaneous quantum expiry.
-                    return if executed >= insn_budget {
-                        SliceExit::BudgetExhausted
-                    } else {
-                        SliceExit::QuantumExpired
-                    };
-                }
-                CleanStep::Mpi(num) => {
-                    let args = [
-                        proc.cpu.reg(chaser_isa::Reg::R1),
-                        proc.cpu.reg(chaser_isa::Reg::R2),
-                        proc.cpu.reg(chaser_isa::Reg::R3),
-                        proc.cpu.reg(chaser_isa::Reg::R4),
-                        proc.cpu.reg(chaser_isa::Reg::R5),
-                        proc.cpu.reg(chaser_isa::Reg::R6),
-                    ];
-                    let req = MpiRequest {
-                        num,
-                        args,
-                        resume_pc: proc.cpu.pc,
-                    };
-                    proc.state = ProcState::BlockedMpi;
-                    proc.pending_mpi = Some(req);
-                    sync_counters!();
-                    return SliceExit::MpiCall(req);
-                }
-                CleanStep::Kernel(num) => {
-                    // Kernel calls observe `icount` (SYS_CLOCK).
-                    sync_counters!();
-                    match handle_kernel_call(num, phys, proc) {
-                        KernelOutcome::Continue => continue 'outer,
-                        KernelOutcome::Exit(status) => {
-                            proc.terminate(status);
-                            return SliceExit::Exited(status);
-                        }
-                    }
-                }
-                CleanStep::Halt => {
-                    sync_counters!();
-                    proc.terminate(ExitStatus::Halted);
-                    return SliceExit::Exited(ExitStatus::Halted);
-                }
-                CleanStep::Fault(sig) => fault!(sig),
-                CleanStep::Bail(idx) => start_op = idx,
-                CleanStep::SideExit => {
-                    hot.sb_bails += 1;
-                    continue 'outer;
+                // The budget binding is terminal for the run, so it wins
+                // over a simultaneous quantum expiry.
+                return if executed >= insn_budget {
+                    SliceExit::BudgetExhausted
+                } else {
+                    SliceExit::QuantumExpired
+                };
+            }
+            BlockExit::Mpi(num) => {
+                use chaser_isa::Reg;
+                let req = MpiRequest {
+                    num,
+                    args: [Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R5, Reg::R6]
+                        .map(|r| proc.cpu.reg(r)),
+                    resume_pc: proc.cpu.pc,
+                };
+                proc.state = ProcState::BlockedMpi;
+                proc.pending_mpi = Some(req);
+                sync_counters!();
+                return SliceExit::MpiCall(req);
+            }
+            BlockExit::Kernel(num) => {
+                // Kernel calls observe `icount` (SYS_CLOCK).
+                sync_counters!();
+                if let KernelOutcome::Exit(status) = handle_kernel_call(num, phys, proc) {
+                    proc.terminate(status);
+                    return SliceExit::Exited(status);
                 }
             }
-        }
-
-        let policy = taint.policy();
-        let taint_on = taint.is_enabled();
-        for op in &tb.ops()[start_op..] {
-            match *op {
-                TcgOp::InsnStart { pc } => {
-                    if executed >= limit {
-                        // Safe resume point: the instruction has not begun.
-                        proc.cpu.pc = pc;
-                        sync_counters!();
-                        // The budget binding is terminal for the run, so it
-                        // wins over a simultaneous quantum expiry.
-                        return if executed >= insn_budget {
-                            SliceExit::BudgetExhausted
-                        } else {
-                            SliceExit::QuantumExpired
-                        };
-                    }
-                    executed += 1;
-                    if !clean {
-                        // Only the slow-path taint events consume `cur_pc`;
-                        // the regime-flip sites below reset it from their
-                        // own `pc` before the slow path can run.
-                        cur_pc = pc;
-                    }
-                    // Advance the instruction index to match this pc; only
-                    // the injection callback consumes it.
-                    if track_inject {
-                        while insn_idx < tb.insns().len() && tb.insns()[insn_idx].0 != pc {
-                            insn_idx += 1;
-                        }
-                    }
-                    // Guest function hooks (MPI interception).
-                    if has_fn_hooks {
-                        if let Some(&hook_id) = hooks.fn_hooks.get(&(pid, pc)) {
-                            if let Some(sink) = &hooks.fn_hook_sink {
-                                let mut ctx = GuestCtx {
-                                    cpu: &mut proc.cpu,
-                                    aspace: &proc.aspace,
-                                    phys,
-                                    taint,
-                                    node: node_id,
-                                    pid,
-                                    icount: icount_base + executed,
-                                    pc,
-                                };
-                                sink.lock().on_fn_entry(hook_id, &mut ctx);
-                                // The hook may have tainted registers or
-                                // memory: re-check the clean gate. Locals
-                                // were untouched and all-clean up to this
-                                // op, so materializing their shadow now is
-                                // exact.
-                                if clean && !taint.fully_idle() {
-                                    taint.begin_block(tb.n_locals());
-                                    clean = false;
-                                    cur_pc = pc;
-                                    if fused {
-                                        // The fast regime ended mid-trace;
-                                        // the rest of the fused stream runs
-                                        // the slow path op-exact.
-                                        hot.sb_bails += 1;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                TcgOp::Movi { d, imm } => {
-                    setval!(d, imm);
-                    if !clean {
-                        taint.set_temp(d, TaintMask::CLEAN);
-                    }
-                }
-                TcgOp::Mov { d, s } => {
-                    let v = val!(s);
-                    setval!(d, v);
-                    if !clean {
-                        let m = taint.temp(s);
-                        taint.set_temp1(d, m, s);
-                    }
-                }
-                TcgOp::Add { d, a, b } => {
-                    binop!(d, a, b, |_a, _b, _tb| PropKind::AddSub, |x: u64, y: u64| x
-                        .wrapping_add(y))
-                }
-                TcgOp::Sub { d, a, b } => {
-                    binop!(d, a, b, |_a, _b, _tb| PropKind::AddSub, |x: u64, y: u64| x
-                        .wrapping_sub(y))
-                }
-                TcgOp::Addi { d, a, imm } => {
-                    let out = val!(a).wrapping_add(imm);
-                    setval!(d, out);
-                    if !clean {
-                        // The immediate operand is CLEAN with empty
-                        // provenance, so this is exactly `Add` with a clean
-                        // `b`: same kind, source provenance from `a` alone.
-                        let m = policy.propagate(PropKind::AddSub, taint.temp(a), TaintMask::CLEAN);
-                        taint.set_temp1(d, m, a);
-                    }
-                }
-                TcgOp::Mul { d, a, b } => {
-                    binop!(d, a, b, |_a, _b, _tb| PropKind::Mul, |x: u64, y: u64| x
-                        .wrapping_mul(y))
-                }
-                TcgOp::Divs { d, a, b } => {
-                    let (av, bv) = (val!(a), val!(b));
-                    if bv == 0 {
-                        fault!(Signal::Fpe);
-                    }
-                    let out = (av as i64).wrapping_div(bv as i64) as u64;
-                    setval!(d, out);
-                    if !clean {
-                        let m = policy.propagate(PropKind::Div, taint.temp(a), taint.temp(b));
-                        taint.set_temp2(d, m, a, b);
-                    }
-                }
-                TcgOp::Divu { d, a, b } => {
-                    let (av, bv) = (val!(a), val!(b));
-                    if bv == 0 {
-                        fault!(Signal::Fpe);
-                    }
-                    setval!(d, av / bv);
-                    if !clean {
-                        let m = policy.propagate(PropKind::Div, taint.temp(a), taint.temp(b));
-                        taint.set_temp2(d, m, a, b);
-                    }
-                }
-                TcgOp::Remu { d, a, b } => {
-                    let (av, bv) = (val!(a), val!(b));
-                    if bv == 0 {
-                        fault!(Signal::Fpe);
-                    }
-                    setval!(d, av % bv);
-                    if !clean {
-                        let m = policy.propagate(PropKind::Div, taint.temp(a), taint.temp(b));
-                        taint.set_temp2(d, m, a, b);
-                    }
-                }
-                TcgOp::And { d, a, b } => binop!(
-                    d,
-                    a,
-                    b,
-                    |av, bv, _tb| PropKind::And { a: av, b: bv },
-                    |x: u64, y: u64| x & y
-                ),
-                TcgOp::Or { d, a, b } => binop!(
-                    d,
-                    a,
-                    b,
-                    |av, bv, _tb| PropKind::Or { a: av, b: bv },
-                    |x: u64, y: u64| x | y
-                ),
-                TcgOp::Xor { d, a, b } => {
-                    binop!(d, a, b, |_a, _b, _tb| PropKind::Xor, |x: u64, y: u64| x ^ y)
-                }
-                TcgOp::Shl { d, a, b } => binop!(
-                    d,
-                    a,
-                    b,
-                    |_av, bv: u64, tb_: TaintMask| PropKind::Shl {
-                        amount: tb_.is_clean().then_some((bv & 63) as u32)
-                    },
-                    |x: u64, y: u64| x << (y & 63)
-                ),
-                TcgOp::Shr { d, a, b } => binop!(
-                    d,
-                    a,
-                    b,
-                    |_av, bv: u64, tb_: TaintMask| PropKind::Shr {
-                        amount: tb_.is_clean().then_some((bv & 63) as u32)
-                    },
-                    |x: u64, y: u64| x >> (y & 63)
-                ),
-                TcgOp::Sar { d, a, b } => binop!(
-                    d,
-                    a,
-                    b,
-                    |_av, bv: u64, tb_: TaintMask| PropKind::Sar {
-                        amount: tb_.is_clean().then_some((bv & 63) as u32)
-                    },
-                    |x: u64, y: u64| ((x as i64) >> (y & 63)) as u64
-                ),
-                TcgOp::Neg { d, a } => {
-                    let v = (val!(a) as i64).wrapping_neg() as u64;
-                    setval!(d, v);
-                    if !clean {
-                        let m = policy.propagate(PropKind::Neg, taint.temp(a), TaintMask::CLEAN);
-                        taint.set_temp1(d, m, a);
-                    }
-                }
-                TcgOp::Not { d, a } => {
-                    let v = !val!(a);
-                    setval!(d, v);
-                    if !clean {
-                        let m = policy.propagate(PropKind::Not, taint.temp(a), TaintMask::CLEAN);
-                        taint.set_temp1(d, m, a);
-                    }
-                }
-                TcgOp::SetFlagsInt { a, b } => {
-                    proc.cpu.flags = Flags::from_int_cmp(val!(a), val!(b));
-                }
-                TcgOp::SetFlagsInti { a, imm } => {
-                    proc.cpu.flags = Flags::from_int_cmp(val!(a), imm);
-                }
-                TcgOp::SetFlagsFp { a, b } => {
-                    proc.cpu.flags =
-                        Flags::from_fp_cmp(f64::from_bits(val!(a)), f64::from_bits(val!(b)));
-                }
-                TcgOp::QemuLd { d, addr, disp } => {
-                    let vaddr = val!(addr).wrapping_add(disp as u64);
-                    if !taint_on || clean {
-                        // Fast path: taint machinery disabled, or the
-                        // fully-clean regime holds — `d`'s shadow is
-                        // already clean and its provenance empty, so even
-                        // the destination write is skipped.
-                        hot.fast += 1;
-                        match proc.aspace.read_u64(phys, vaddr) {
-                            Ok(value) => {
-                                setval!(d, value);
-                            }
-                            Err(_) => fault!(Signal::Segv),
-                        }
-                        continue;
-                    }
-                    if fast_path && taint.mem_idle() {
-                        // Taint-idle fast path: the shadow holds no taint
-                        // and no provenance, so the load's mask is CLEAN
-                        // and its provenance EMPTY by construction — skip
-                        // the shadow reads and the (never-firing, since the
-                        // mask is clean) taint-read hook.
-                        hot.fast += 1;
-                        match proc.aspace.read_u64(phys, vaddr) {
-                            Ok(value) => {
-                                setval!(d, value);
-                                taint.set_temp(d, TaintMask::CLEAN);
-                            }
-                            Err(_) => fault!(Signal::Segv),
-                        }
-                        continue;
-                    }
-                    hot.slow += 1;
-                    match load_u64_tainted(&proc.aspace, phys, taint, vaddr) {
-                        Ok((value, mask, prov, paddr)) => {
-                            setval!(d, value);
-                            taint.set_temp_with_prov(d, mask, prov);
-                            if mask.is_tainted() && hooks.taint_events {
-                                taint_buf.push(BufferedTaintEvent {
-                                    kind: TaintAccessKind::Read,
-                                    ev: TaintMemEvent {
-                                        node: node_id,
-                                        pid,
-                                        eip: cur_pc,
-                                        vaddr,
-                                        paddr,
-                                        taint: mask,
-                                        value,
-                                        icount: icount_base + executed,
-                                        prov,
-                                    },
-                                });
-                            }
-                        }
-                        Err(_) => fault!(Signal::Segv),
-                    }
-                }
-                TcgOp::QemuSt { s, addr, disp } => {
-                    let vaddr = val!(addr).wrapping_add(disp as u64);
-                    let value = val!(s);
-                    if !taint_on || clean {
-                        // Fast path: taint disabled, or fully clean — the
-                        // stored mask is clean over an all-clean shadow,
-                        // a complete no-op on every shadow structure.
-                        hot.fast += 1;
-                        if proc.aspace.write_u64(phys, vaddr, value).is_err() {
-                            fault!(Signal::Segv);
-                        }
-                        continue;
-                    }
-                    let mask = taint.temp(s);
-                    if fast_path && mask.is_clean() && taint.mem_idle() {
-                        // Taint-idle fast path: a clean store over an
-                        // all-clean shadow is a shadow no-op (nothing to
-                        // clear), its provenance write is empty, and the
-                        // taint-write hook cannot fire — skip all three.
-                        hot.fast += 1;
-                        if proc.aspace.write_u64(phys, vaddr, value).is_err() {
-                            fault!(Signal::Segv);
-                        }
-                        continue;
-                    }
-                    hot.slow += 1;
-                    let prov = taint.temp_prov(s);
-                    match store_u64_tainted(&proc.aspace, phys, taint, vaddr, value, mask, prov) {
-                        Ok(paddr) => {
-                            if mask.is_tainted() && hooks.taint_events {
-                                taint_buf.push(BufferedTaintEvent {
-                                    kind: TaintAccessKind::Write,
-                                    ev: TaintMemEvent {
-                                        node: node_id,
-                                        pid,
-                                        eip: cur_pc,
-                                        vaddr,
-                                        paddr,
-                                        taint: mask,
-                                        value,
-                                        icount: icount_base + executed,
-                                        prov,
-                                    },
-                                });
-                            }
-                        }
-                        Err(_) => fault!(Signal::Segv),
-                    }
-                }
-                TcgOp::CallHelper { helper, d, a, b } => {
-                    let (av, bv) = (val!(a), val!(b));
-                    let out = helper.eval(av, bv);
-                    setval!(d, out);
-                    if !clean {
-                        let kind = match helper {
-                            chaser_tcg::Helper::CvtIF | chaser_tcg::Helper::CvtFI => PropKind::Cvt,
-                            _ => PropKind::Fp,
-                        };
-                        let tb_ = if helper.is_binary() {
-                            taint.temp(b)
-                        } else {
-                            TaintMask::CLEAN
-                        };
-                        let m = policy.propagate(kind, taint.temp(a), tb_);
-                        if helper.is_binary() {
-                            taint.set_temp2(d, m, a, b);
-                        } else {
-                            taint.set_temp1(d, m, a);
-                        }
-                    }
-                }
-                TcgOp::CallInject { point, pc } => {
-                    if let Some(sink) = &hooks.inject {
-                        let insn = tb
-                            .insns()
-                            .get(insn_idx)
-                            .map(|(_, i)| *i)
-                            .unwrap_or(Instruction::Nop);
-                        let action = {
-                            let mut ctx = GuestCtx {
-                                cpu: &mut proc.cpu,
-                                aspace: &proc.aspace,
-                                phys,
-                                taint,
-                                node: node_id,
-                                pid,
-                                icount: proc.icount,
-                                pc,
-                            };
-                            sink.lock().on_inject_point(point, &insn, &mut ctx)
-                        };
-                        if action.flush_tb {
-                            cache.flush();
-                        }
-                        // An injector is the only in-block taint source:
-                        // if it fired, leave the clean regime for the rest
-                        // of this block (locals were all-clean up to here).
-                        if clean && !taint.fully_idle() {
-                            taint.begin_block(tb.n_locals());
-                            clean = false;
-                            cur_pc = pc;
-                            if fused {
-                                // An injection landed inside a fused
-                                // member: leave the fast regime and finish
-                                // the trace op-exact on the slow path.
-                                hot.sb_bails += 1;
-                            }
-                        }
-                    }
-                }
-                TcgOp::ExitTb { next } => {
-                    proc.cpu.pc = next;
-                    chain_exit!(ChainSlot::Taken);
-                    continue 'outer;
-                }
-                TcgOp::ExitTbCond {
-                    cond,
-                    taken,
-                    fallthrough,
-                } => {
-                    let slot = if proc.cpu.flags.holds(cond) {
-                        proc.cpu.pc = taken;
-                        ChainSlot::Taken
-                    } else {
-                        proc.cpu.pc = fallthrough;
-                        ChainSlot::Fallthrough
-                    };
-                    chain_exit!(slot);
-                    continue 'outer;
-                }
-                TcgOp::SbGuard { cond, fallthrough } => {
-                    if !proc.cpu.flags.holds(cond) {
-                        // Side exit at a fused member boundary; never
-                        // chained (guards share the trace's one dispatch
-                        // block, see `CleanStep::SideExit`).
-                        proc.cpu.pc = fallthrough;
-                        hot.sb_bails += 1;
-                        continue 'outer;
-                    }
-                }
-                TcgOp::ExitTbIndirect { addr } => {
-                    proc.cpu.pc = val!(addr);
-                    continue 'outer;
-                }
-                TcgOp::Hypercall { num, next } => {
-                    proc.cpu.pc = next;
-                    if num >= abi::MPI_BASE {
-                        let args = [
-                            proc.cpu.reg(chaser_isa::Reg::R1),
-                            proc.cpu.reg(chaser_isa::Reg::R2),
-                            proc.cpu.reg(chaser_isa::Reg::R3),
-                            proc.cpu.reg(chaser_isa::Reg::R4),
-                            proc.cpu.reg(chaser_isa::Reg::R5),
-                            proc.cpu.reg(chaser_isa::Reg::R6),
-                        ];
-                        let req = MpiRequest {
-                            num,
-                            args,
-                            resume_pc: next,
-                        };
-                        proc.state = ProcState::BlockedMpi;
-                        proc.pending_mpi = Some(req);
-                        sync_counters!();
-                        return SliceExit::MpiCall(req);
-                    }
-                    // Kernel calls observe `icount` (SYS_CLOCK).
-                    sync_counters!();
-                    match handle_kernel_call(num, phys, proc) {
-                        KernelOutcome::Continue => continue 'outer,
-                        KernelOutcome::Exit(status) => {
-                            proc.terminate(status);
-                            return SliceExit::Exited(status);
-                        }
-                    }
-                }
-                TcgOp::Halt => {
-                    sync_counters!();
-                    proc.terminate(ExitStatus::Halted);
-                    return SliceExit::Exited(ExitStatus::Halted);
-                }
-                TcgOp::BadFetch { .. } => fault!(Signal::Segv),
-                TcgOp::BadDecode { .. } => fault!(Signal::Ill),
+            BlockExit::Halt => {
+                sync_counters!();
+                proc.terminate(ExitStatus::Halted);
+                return SliceExit::Exited(ExitStatus::Halted);
+            }
+            BlockExit::Fault(sig) => {
+                sync_counters!();
+                proc.terminate(ExitStatus::Signaled(sig));
+                return SliceExit::Exited(ExitStatus::Signaled(sig));
+            }
+            BlockExit::LeaveClean { .. } => {
+                unreachable!("the shadow executor never leaves the clean regime")
             }
         }
-        // A well-formed TB always ends in a terminator; reaching here means
-        // the translator emitted a chained ExitTb which `continue`s above.
-        unreachable!("translation block fell through without a terminator");
     }
 }
 

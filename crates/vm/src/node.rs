@@ -692,7 +692,14 @@ mod tests {
 
         let mut node = Node::new(0);
         let pid = node.spawn(&prog).expect("spawn");
-        assert!(run_to_exit(&mut node, pid).is_success());
+        let status = loop {
+            match node.run_slice(pid, 100_000) {
+                SliceExit::Exited(s) => break s,
+                SliceExit::QuantumExpired => continue,
+                other => panic!("unexpected slice exit: {other:?}"),
+            }
+        };
+        assert!(status.is_success());
         let files = &node.process(pid).expect("proc").files;
         assert_eq!(files.stdout, b"123\n");
         assert_eq!(files.output, 1.5f64.to_bits().to_le_bytes());
@@ -1200,6 +1207,124 @@ mod more_engine_tests {
         // ...which is only possible off the clean regime: the tainted
         // store ran the full slow path.
         assert!(node.engine_stats().slow_path_insns >= 1);
+    }
+
+    /// A guest function hook is the other in-block taint source: a hook
+    /// that taints mid-block must move the rest of the block onto the
+    /// shadow executor at that instruction, so the store it guards carries
+    /// the taint into shadow memory.
+    #[test]
+    fn fn_hook_taint_mid_block_leaves_the_clean_regime() {
+        use crate::hooks::{FnHookSink, GuestCtx};
+        use chaser_taint::TaintMask;
+        use parking_lot::Mutex;
+
+        struct TaintR2(Vec<u64>);
+        impl FnHookSink for TaintR2 {
+            fn on_fn_entry(&mut self, _hook_id: u64, ctx: &mut GuestCtx<'_>) {
+                ctx.taint_reg(Reg::R2, TaintMask::bit(0));
+                self.0.push(ctx.icount);
+            }
+        }
+
+        // One straight-line block; the hook fires on entry to the store.
+        let mut a = Asm::new("fnhook");
+        a.bss("buf", 64);
+        a.lea(Reg::R5, "buf");
+        a.ld(Reg::R2, Reg::R5, 0);
+        a.label("hooked");
+        a.st(Reg::R2, Reg::R5, 8);
+        a.exit(0);
+        let prog = a.assemble().expect("assemble");
+        let hooked = prog.symbol("hooked").expect("hooked");
+
+        let mut node = Node::new(0);
+        let pid = node.spawn(&prog).expect("spawn");
+        node.hooks_mut().fn_hooks.insert((pid, hooked), 7);
+        let sink = Arc::new(Mutex::new(TaintR2(Vec::new())));
+        node.hooks_mut().fn_hook_sink = Some(sink.clone());
+        let status = loop {
+            match node.run_slice(pid, 100_000) {
+                SliceExit::Exited(s) => break s,
+                SliceExit::QuantumExpired => continue,
+                other => panic!("unexpected slice exit: {other:?}"),
+            }
+        };
+        assert!(status.is_success());
+        // Fired once, counting the hooked store itself (third insn).
+        assert_eq!(sink.lock().0, vec![3]);
+        assert_eq!(node.taint().mem().tainted_bytes(), 1);
+        assert_eq!(node.engine_stats().slow_path_insns, 1);
+    }
+
+    /// The injection callback sees the retired-instruction count at the
+    /// targeted instruction itself (counting it, like the function-hook
+    /// context and taint events do), not the count at slice start: the
+    /// recorded value is exact and independent of the scheduling quantum.
+    #[test]
+    fn injection_icount_is_exact_under_any_quantum() {
+        use crate::hooks::{GuestCtx, InjectAction, InjectSink, NodeTranslateHook};
+        use chaser_isa::Instruction;
+        use parking_lot::Mutex;
+
+        struct TargetMul;
+        impl NodeTranslateHook for TargetMul {
+            fn inject_point(&self, _n: u32, _p: u64, _pc: u64, insn: &Instruction) -> Option<u64> {
+                matches!(insn, Instruction::Mul { .. }).then_some(0)
+            }
+        }
+        struct RecordIcount(Vec<(u64, Instruction)>);
+        impl InjectSink for RecordIcount {
+            fn on_inject_point(
+                &mut self,
+                _point: u64,
+                insn: &Instruction,
+                ctx: &mut GuestCtx<'_>,
+            ) -> InjectAction {
+                self.0.push((ctx.icount, *insn));
+                InjectAction::default()
+            }
+        }
+
+        // Straight-line: the multiply is the fifth instruction retired.
+        let mut a = Asm::new("icount");
+        a.movi(Reg::R2, 3);
+        a.movi(Reg::R3, 4);
+        a.add(Reg::R2, Reg::R3);
+        a.addi(Reg::R2, 1);
+        a.insn(Instruction::Mul {
+            dst: Reg::R2,
+            src: Reg::R3,
+        });
+        a.addi(Reg::R2, 1);
+        a.exit(0);
+        let prog = a.assemble().expect("assemble");
+
+        let record = |quantum: u64| {
+            let mut node = Node::new(0);
+            node.hooks_mut().translate = Some(Arc::new(TargetMul));
+            let sink = Arc::new(Mutex::new(RecordIcount(Vec::new())));
+            node.hooks_mut().inject = Some(sink.clone());
+            let pid = node.spawn(&prog).expect("spawn");
+            let status = loop {
+                match node.run_slice(pid, quantum) {
+                    SliceExit::Exited(s) => break s,
+                    SliceExit::QuantumExpired => continue,
+                    other => panic!("unexpected slice exit: {other:?}"),
+                }
+            };
+            assert!(status.is_success());
+            let seen = sink.lock().0.clone();
+            seen
+        };
+        let fine = record(1);
+        let coarse = record(1_000_000);
+        let mul = Instruction::Mul {
+            dst: Reg::R2,
+            src: Reg::R3,
+        };
+        assert_eq!(fine, vec![(5, mul)], "one callback, at the fifth insn");
+        assert_eq!(coarse, fine, "the quantum must not move the icount");
     }
 
     /// The rank-parallel scheduler moves whole nodes onto worker threads;

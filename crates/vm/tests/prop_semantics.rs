@@ -3,19 +3,35 @@
 //! 1. *Semantic equivalence*: running a random straight-line program through
 //!    translate → IR-interpret must leave the CPU in the same state as a
 //!    direct reference evaluation of the guest instructions.
-//! 2. *Taint soundness*: with no injected fault the whole system stays
+//!    It must hold for both instantiations of the block executor: the
+//!    fully-clean one (nothing tainted) and the shadow one (taint seeded on
+//!    a register the program never reads).
+//! 2. *Knob and quantum inertness*: the generated body wrapped in a counted
+//!    loop — hot enough for chaining and superblock fusion to engage — ends
+//!    in the same registers, flags and icount under every [`ExecTuning`]
+//!    combination and under a quantum of 1 vs 1 000 000.
+//! 3. *Taint soundness*: with no injected fault the whole system stays
 //!    taint-free; with an injected tainted register, the precise policy's
 //!    final taint is a subset of the conservative policy's.
 
-use chaser_isa::{Asm, CpuState, FReg, Flags, Instruction, Reg};
+use chaser_isa::{Asm, Cond, CpuState, FReg, Flags, Instruction, Reg};
 use chaser_taint::{TaintMask, TaintPolicy};
-use chaser_vm::{ExitStatus, Node, SliceExit};
+use chaser_tcg::SB_HOT_THRESHOLD;
+use chaser_vm::{ExecTuning, ExitStatus, Node, SliceExit};
 use proptest::prelude::*;
 
 /// Registers the generator uses (avoids SP so the stack stays sane, and R1
 /// because `exit_with` clobbers it).
 const REGS: [Reg; 6] = [Reg::R2, Reg::R3, Reg::R4, Reg::R5, Reg::R6, Reg::R7];
 const FREGS: [FReg; 4] = [FReg::F0, FReg::F1, FReg::F2, FReg::F3];
+/// Never read by generated code: seeding taint here forces the shadow
+/// executor without changing any value the program computes.
+const TAINT_SEED_REG: Reg = Reg::R8;
+/// Loop counter of the counted-loop case, outside `REGS`.
+const COUNTER: Reg = Reg::R9;
+/// Loop trips: well past the superblock hotness threshold, so the loop's
+/// back edge gets chained and then fused.
+const LOOP_ITERS: i64 = 2 * SB_HOT_THRESHOLD as i64;
 
 fn arb_reg() -> impl Strategy<Value = Reg> {
     proptest::sample::select(&REGS[..])
@@ -118,10 +134,40 @@ fn build_program(insns: &[Instruction]) -> chaser_isa::Program {
     a.assemble().expect("assemble")
 }
 
+/// `body` repeated `LOOP_ITERS` times by a counted loop on `COUNTER`.
+fn build_loop_program(body: &[Instruction]) -> chaser_isa::Program {
+    let mut a = Asm::new("prop-loop");
+    a.movi(COUNTER, 0);
+    a.label("loop");
+    for insn in body {
+        a.insn(*insn);
+    }
+    a.addi(COUNTER, 1);
+    a.cmpi(COUNTER, LOOP_ITERS);
+    a.jcc(Cond::Lt, "loop");
+    a.exit(0);
+    a.assemble().expect("assemble")
+}
+
 fn run_program(node: &mut Node, prog: &chaser_isa::Program) -> u64 {
+    run_program_with(node, prog, 1_000_000, false)
+}
+
+/// Spawns and runs `prog` to a clean exit in slices of `quantum`, with one
+/// bit of `TAINT_SEED_REG` tainted first when `seed_taint` is set.
+fn run_program_with(
+    node: &mut Node,
+    prog: &chaser_isa::Program,
+    quantum: u64,
+    seed_taint: bool,
+) -> u64 {
     let pid = node.spawn(prog).expect("spawn");
+    if seed_taint {
+        node.taint_mut().set_reg(TAINT_SEED_REG, TaintMask::bit(0));
+        assert!(!node.taint().fully_idle());
+    }
     loop {
-        match node.run_slice(pid, 1_000_000) {
+        match node.run_slice(pid, quantum) {
             SliceExit::Exited(status) => {
                 assert_eq!(status, ExitStatus::Exited(0));
                 return pid;
@@ -132,29 +178,98 @@ fn run_program(node: &mut Node, prog: &chaser_isa::Program) -> u64 {
     }
 }
 
+/// The architectural state a run must reproduce: generated registers,
+/// FP registers, flags and retired-instruction count.
+fn final_state(node: &Node, pid: u64) -> (Vec<u64>, Vec<u64>, Flags, u64) {
+    let proc = node.process(pid).expect("proc");
+    (
+        REGS.iter().map(|&r| proc.cpu.reg(r)).collect(),
+        FREGS.iter().map(|&f| proc.cpu.freg_bits(f)).collect(),
+        proc.cpu.flags,
+        proc.icount,
+    )
+}
+
+/// Every `ExecTuning` combination.
+fn all_tunings() -> impl Iterator<Item = ExecTuning> {
+    (0..8u8).map(|bits| ExecTuning {
+        tb_chaining: bits & 1 != 0,
+        taint_fast_path: bits & 2 != 0,
+        superblocks: bits & 4 != 0,
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn engine_matches_reference_semantics(insns in proptest::collection::vec(arb_insn(), 1..60)) {
         let prog = build_program(&insns);
-        let mut node = Node::new(0);
-        let pid = run_program(&mut node, &prog);
-        let engine_cpu = &node.process(pid).expect("proc").cpu;
-
         let mut reference = CpuState::new(prog.entry());
         for insn in &insns {
             reference_step(&mut reference, insn);
         }
-        for r in REGS {
-            prop_assert_eq!(engine_cpu.reg(r), reference.reg(r), "mismatch in {}", r);
+        // Clean executor, then the shadow executor.
+        for seed_taint in [false, true] {
+            let mut node = Node::new(0);
+            let pid = run_program_with(&mut node, &prog, 1_000_000, seed_taint);
+            let engine_cpu = &node.process(pid).expect("proc").cpu;
+            for r in REGS {
+                prop_assert_eq!(engine_cpu.reg(r), reference.reg(r), "mismatch in {}", r);
+            }
+            for f in FREGS {
+                prop_assert_eq!(
+                    engine_cpu.freg_bits(f),
+                    reference.freg_bits(f),
+                    "mismatch in {}", f
+                );
+            }
+            prop_assert_eq!(node.taint().fully_idle(), !seed_taint);
         }
-        for f in FREGS {
-            prop_assert_eq!(
-                engine_cpu.freg_bits(f),
-                reference.freg_bits(f),
-                "mismatch in {}", f
-            );
+    }
+
+    #[test]
+    fn hot_loop_agrees_across_tunings_and_quanta(
+        body in proptest::collection::vec(arb_insn(), 1..40),
+    ) {
+        let prog = build_loop_program(&body);
+        let mut reference = CpuState::new(prog.entry());
+        for _ in 0..LOOP_ITERS {
+            for insn in &body {
+                reference_step(&mut reference, insn);
+            }
+        }
+        // Registers are checked against the reference; flags and icount
+        // against the first run.
+        let mut expected = None;
+        for seed_taint in [false, true] {
+            for tuning in all_tunings() {
+                for quantum in [1, 1_000_000] {
+                    let mut node = Node::new(0);
+                    node.set_exec_tuning(tuning);
+                    let pid = run_program_with(&mut node, &prog, quantum, seed_taint);
+                    let state = final_state(&node, pid);
+                    for (i, r) in REGS.iter().enumerate() {
+                        prop_assert_eq!(state.0[i], reference.reg(*r), "mismatch in {}", r);
+                    }
+                    for (i, f) in FREGS.iter().enumerate() {
+                        prop_assert_eq!(state.1[i], reference.freg_bits(*f), "mismatch in {}", f);
+                    }
+                    if tuning == ExecTuning::default() && quantum > 1 {
+                        // Chaining and fusion really engaged.
+                        let stats = node.engine_stats();
+                        prop_assert!(stats.tb_chain_hits > 0);
+                        prop_assert!(stats.superblocks_formed > 0);
+                    }
+                    match &expected {
+                        None => expected = Some(state),
+                        Some(first) => prop_assert_eq!(
+                            &state, first,
+                            "tuning {:?}, quantum {}, seeded {}", tuning, quantum, seed_taint
+                        ),
+                    }
+                }
+            }
         }
     }
 
