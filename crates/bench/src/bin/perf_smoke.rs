@@ -18,18 +18,26 @@
 //! run must export byte-identical provenance DOT/JSON, and a fault-free
 //! cluster must reach the same state digest with the knobs on and off.
 //!
+//! Also gates the tracing tax of the paper's Fig. 10 case: CLAMR with an
+//! identity injection under full tracing must stay within a ceiling ratio
+//! of the untraced, uninjected baseline (median of interleaved paired
+//! rounds).
+//!
 //! Writes the measured numbers to `BENCH_engine.json` (hand-rolled JSON;
 //! the vendored serde has no serializer).
 //!
 //! `cargo run --release -p chaser-bench --bin perf_smoke`
 
-use chaser::{AppSpec, Campaign, CampaignConfig, RankPool, RunOptions};
+use chaser::{
+    AppSpec, Campaign, CampaignConfig, Corruption, InjectionSpec, OperandSel, RankPool, RunOptions,
+    RunReport, Trigger,
+};
 use chaser_bench::gated_measurement;
 use chaser_isa::{Asm, Cond, InsnClass, Program, Reg};
 use chaser_mpi::{Cluster, ClusterConfig, ParallelStats};
 use chaser_tcg::BaseLayer;
 use chaser_vm::{EngineStats, ExecTuning, Node, SliceExit};
-use chaser_workloads::matvec;
+use chaser_workloads::{clamr, matvec};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -78,6 +86,15 @@ const RANK_REQUIRED_SPEEDUP: f64 = 1.5;
 /// well below `RANK_THREADS`x; the engine is gated against that measured
 /// ceiling, not against hardware it does not have.
 const RANK_CAPACITY_FRACTION: f64 = 0.7;
+
+/// Ceiling on CLAMR's FI + tracing runtime over its baseline (Fig. 10's
+/// last column; the paper measures 1.157x under DECAF).
+const CLAMR_FI_TRACE_CEILING: f64 = 4.0;
+/// Interleaved (baseline, FI + tracing) rounds per attempt; the gate reads
+/// the median of their per-round ratios.
+const CLAMR_ROUNDS: usize = 15;
+/// Consecutive runs per configuration in one round.
+const CLAMR_BLOCK: usize = 2;
 
 /// A memory-heavy update loop: every iteration walks four slots of a small
 /// buffer with a load/add/store each — the read-modify-write access
@@ -463,6 +480,117 @@ fn measure_shard_scaling() -> (f64, f64, f64) {
     (best[0], best[1], best[1] / best[0].max(1e-9))
 }
 
+/// The Fig. 10 CLAMR configuration: 256 cells x 100 steps on 4 ranks.
+fn clamr_fig10_app() -> AppSpec {
+    let cfg = clamr::ClamrConfig {
+        ncells: 256,
+        steps: 100,
+        ranks: 4,
+        ..clamr::ClamrConfig::default()
+    };
+    AppSpec::replicated(clamr::program(&cfg), 4, 4)
+}
+
+/// Fig. 10's identity injection: fadd #1000 on rank 0 gets its original
+/// value written back and marked tainted, so FI + tracing does the
+/// baseline's application work plus the full tracing tax.
+fn clamr_identity(app: &AppSpec) -> InjectionSpec {
+    InjectionSpec {
+        target_program: app.name.clone(),
+        target_rank: 0,
+        class: InsnClass::Fadd,
+        trigger: Trigger::AfterN(1000),
+        corruption: Corruption::Identity,
+        operand: OperandSel::Dst,
+        max_injections: 1,
+        seed: 0,
+    }
+}
+
+/// Seconds of a fixed xorshift-and-accumulate loop over a 512 KiB buffer
+/// (median of three passes). It runs no engine code, so it moves only with
+/// the host; recorded beside the CLAMR ratio to flag host drift, never used
+/// to rescale it.
+fn host_calibration_s() -> f64 {
+    let mut secs: Vec<f64> = (0..3)
+        .map(|_| {
+            let mut buf = vec![0u64; 1 << 16];
+            let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+            let t0 = Instant::now();
+            for _ in 0..300 {
+                for (i, v) in buf.iter_mut().enumerate() {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    *v = v.wrapping_add(x ^ i as u64);
+                }
+                std::hint::black_box(&mut buf);
+            }
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    secs[1]
+}
+
+/// Gate 5 + measurement: CLAMR FI + tracing vs baseline. Each round times
+/// a block of baseline runs and a block of FI + tracing runs, alternating
+/// which goes first, and contributes one ratio; every traced run must
+/// reproduce the golden outputs and actually inject. The median ratio must
+/// stay at or under [`CLAMR_FI_TRACE_CEILING`]. Returns `(median ratio,
+/// host calibration seconds)`.
+fn assert_and_measure_clamr_fi_trace() -> (f64, f64) {
+    let app = clamr_fig10_app();
+    let golden = chaser::run_app(&app, &RunOptions::golden());
+    assert!(!golden.cluster.hang, "golden CLAMR must not hang");
+    let configs = [
+        RunOptions::golden(),
+        RunOptions::inject_traced(clamr_identity(&app)),
+    ];
+    let check = |r: &RunReport, traced: bool| {
+        assert!(!r.cluster.hang, "Fig. 10 CLAMR run must not hang");
+        assert_eq!(
+            r.outputs, golden.outputs,
+            "identity injection must not change outputs"
+        );
+        if traced {
+            assert_eq!(r.injections.len(), 1, "FI + tracing run must inject once");
+        }
+    };
+    gated_measurement(
+        "perf_smoke: CLAMR FI+tracing overhead",
+        MEASURE_ATTEMPTS,
+        REMEASURE_COOLDOWN,
+        |_| {
+            let mut ratios = Vec::with_capacity(CLAMR_ROUNDS);
+            for round in 0..CLAMR_ROUNDS {
+                let mut secs = [0.0f64; 2];
+                for k in 0..2 {
+                    let c = (k + round) % 2;
+                    let t0 = Instant::now();
+                    for _ in 0..CLAMR_BLOCK {
+                        check(&chaser::run_app(&app, &configs[c]), c == 1);
+                    }
+                    secs[c] = t0.elapsed().as_secs_f64();
+                }
+                ratios.push(secs[1] / secs[0]);
+            }
+            ratios.sort_by(f64::total_cmp);
+            (ratios[ratios.len() / 2], host_calibration_s())
+        },
+        |&(ratio, _)| {
+            if ratio <= CLAMR_FI_TRACE_CEILING {
+                Ok(())
+            } else {
+                Err(format!(
+                    "{ratio:.2}x > ceiling {CLAMR_FI_TRACE_CEILING:.2}x (median of \
+                     {CLAMR_ROUNDS} paired rounds)"
+                ))
+            }
+        },
+    )
+}
+
 /// Calibrates the hot-path gate from the accumulated regime measurements.
 ///
 /// `acc[1]` and `acc[4]` are the *same* configuration — warm, both knobs
@@ -626,6 +754,15 @@ fn main() {
         rank_pstats.imbalance()
     );
 
+    // Fig. 10 tracing tax: CLAMR FI + tracing under its ceiling.
+    let (clamr_ratio, host_calibration) = assert_and_measure_clamr_fi_trace();
+    println!("perf_smoke: CLAMR FI+tracing vs baseline (median of {CLAMR_ROUNDS} paired rounds):");
+    println!(
+        "  overhead                             : {clamr_ratio:.2}x \
+         (ceiling {CLAMR_FI_TRACE_CEILING:.2}x, paper 1.157x)"
+    );
+    println!("  host calibration probe               : {host_calibration:.3} s");
+
     // Shard scaling: record-only baseline for later distributed work.
     let (shard_1_rps, shard_n_rps, shard_speedup) = measure_shard_scaling();
     println!(
@@ -670,6 +807,11 @@ fn main() {
          \"host_parallel_capacity\": {capacity:.3},\n  \
          \"rank_parallel_rounds\": {},\n  \
          \"rank_imbalance\": {:.3},\n  \
+         \"clamr_workload\": \"clamr 256 cells x 100 steps on 4 ranks, identity fadd #1000 \
+         on rank 0\",\n  \
+         \"clamr_fi_trace_overhead\": {clamr_ratio:.3},\n  \
+         \"clamr_fi_trace_ceiling\": {CLAMR_FI_TRACE_CEILING:.3},\n  \
+         \"host_calibration_s\": {host_calibration:.4},\n  \
          \"shard_workload\": \"matvec campaign x {SHARD_RUNS} runs, thread-worker shards\",\n  \
          \"shard_1_runs_per_sec\": {shard_1_rps:.1},\n  \
          \"shard_{SHARD_FANOUT}_runs_per_sec\": {shard_n_rps:.1},\n  \

@@ -1050,7 +1050,7 @@ impl Cluster {
                 h.write_u64(base);
                 h.write_bytes(masks);
             });
-            node.taint().prov_mem().for_each(|paddr, p| {
+            node.taint().mem().for_each_prov(|paddr, p| {
                 h.write_u64(paddr);
                 h.write_u64(u64::from(p.bits()));
             });
@@ -1086,7 +1086,8 @@ impl Cluster {
     /// Drains every node's buffered taint events into the registered sinks
     /// in canonical `(round, rank)` order. Within one rank the events keep
     /// execution order (ranks sharing a node run sequentially, so a node's
-    /// buffer is already segmented by rank).
+    /// buffer is already segmented by rank). Each sink is locked once per
+    /// round and sees `on_round` followed by the round's events.
     fn drain_taint_events(&mut self) {
         if self.taint_sinks.is_empty() {
             // No consumers: clear any buffers so a gate opened without a
@@ -1096,9 +1097,17 @@ impl Cluster {
             }
             return;
         }
-        let mut per_rank: Vec<Vec<BufferedTaintEvent>> = vec![Vec::new(); self.ranks.len() + 1];
+        // Built only on rounds where some node buffered an event.
+        let mut per_rank: Vec<Vec<BufferedTaintEvent>> = Vec::new();
         for node in &mut self.nodes {
-            for ev in node.take_taint_events() {
+            let events = node.take_taint_events();
+            if events.is_empty() {
+                continue;
+            }
+            if per_rank.is_empty() {
+                per_rank = vec![Vec::new(); self.ranks.len() + 1];
+            }
+            for ev in events {
                 let rank = self
                     .ranks
                     .iter()
@@ -1108,16 +1117,12 @@ impl Cluster {
             }
         }
         for sink in &self.taint_sinks {
-            sink.lock().on_round(self.round);
-        }
-        for events in &per_rank {
-            for be in events {
-                for sink in &self.taint_sinks {
-                    let mut s = sink.lock();
-                    match be.kind {
-                        TaintAccessKind::Read => s.on_taint_read(&be.ev),
-                        TaintAccessKind::Write => s.on_taint_write(&be.ev),
-                    }
+            let mut s = sink.lock();
+            s.on_round(self.round);
+            for be in per_rank.iter().flatten() {
+                match be.kind {
+                    TaintAccessKind::Read => s.on_taint_read(&be.ev),
+                    TaintAccessKind::Write => s.on_taint_write(&be.ev),
                 }
             }
         }

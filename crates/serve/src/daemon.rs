@@ -22,7 +22,10 @@
 
 use crate::client::{connect, Stream};
 use crate::pool::PreparedPool;
-use crate::proto::{read_frame, write_frame, Frame, JobResults, JobSummary, StatusReport};
+use crate::proto::{
+    read_frame_limited, write_frame, Frame, JobResults, JobSummary, StatusReport,
+    REQUEST_FRAME_LIMIT,
+};
 use crate::spec::CampaignSpec;
 use chaser::{shard_journal_path, ShardError, ShardPlan, ShardWorkers, StopSignal};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -321,8 +324,9 @@ fn handle_conn(shared: &Arc<Shared>, stream: Stream) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    // EOF and malformed input both end the connection silently.
-    while let Ok(Some(frame)) = read_frame(&mut reader) {
+    // EOF, malformed input and over-long lines all end the connection
+    // silently; other connections are unaffected.
+    while let Ok(Some(frame)) = read_frame_limited(&mut reader, REQUEST_FRAME_LIMIT) {
         let ok = match frame {
             Frame::Submit { spec } => handle_submit(shared, &mut writer, spec),
             Frame::Status => write_frame(&mut writer, &Frame::StatusReport(status_report(shared))),

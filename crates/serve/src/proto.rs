@@ -10,7 +10,7 @@
 
 use crate::spec::CampaignSpec;
 use chaser::{encode_json, parse_json, Json, PoolStats};
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// One line on the wire, in either direction.
 #[derive(Debug, Clone, PartialEq)]
@@ -354,16 +354,44 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads one frame; `Ok(None)` means clean EOF (peer closed).
+/// Longest request frame line the daemon reads, newline excluded. A
+/// `Submit` is under 4 KB; the cap keeps one client from growing the
+/// daemon's read buffer without limit.
+pub(crate) const REQUEST_FRAME_LIMIT: usize = 1 << 20;
+
+/// Longest reply frame line a client reads, newline excluded: room for a
+/// `ResultsReport` carrying a large campaign's merged CSVs.
+pub(crate) const REPLY_FRAME_LIMIT: usize = 1 << 30;
+
+/// Reads one frame of at most 1 GiB (room for any reply); `Ok(None)` means
+/// clean EOF (peer closed).
 ///
 /// # Errors
 ///
-/// `InvalidData` for malformed lines, plus underlying I/O errors.
+/// `InvalidData` for malformed or over-long lines, plus underlying I/O
+/// errors.
 pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<Frame>> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
+    read_frame_limited(r, REPLY_FRAME_LIMIT)
+}
+
+/// Reads one frame whose line holds at most `limit` bytes before its
+/// newline; `Ok(None)` means clean EOF (peer closed).
+///
+/// # Errors
+///
+/// `InvalidData` for malformed lines and for lines longer than `limit`
+/// (the over-long line is not consumed past the limit, so the stream is
+/// unusable afterwards), plus underlying I/O errors.
+pub(crate) fn read_frame_limited(r: &mut impl BufRead, limit: usize) -> io::Result<Option<Frame>> {
+    let mut line = Vec::new();
+    let cap = u64::try_from(limit).unwrap_or(u64::MAX).saturating_add(1);
+    if r.take(cap).read_until(b'\n', &mut line)? == 0 {
         return Ok(None);
     }
+    if line.len() > limit && line.last() != Some(&b'\n') {
+        return Err(bad(format!("frame longer than {limit} bytes")));
+    }
+    let line = String::from_utf8(line).map_err(|e| bad(format!("frame is not UTF-8: {e}")))?;
     let v = parse_json(line.trim_end()).map_err(|e| bad(format!("malformed frame: {e}")))?;
     Frame::from_json(&v).map(Some)
 }
@@ -465,5 +493,19 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let mut r = BufReader::new(&b"{oops\n"[..]);
         assert!(read_frame(&mut r).is_err());
+    }
+
+    #[test]
+    fn frame_limit_rejects_only_over_long_lines() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &Frame::Status).expect("write");
+        let len = buf.len() - 1; // newline excluded
+        let frame = read_frame_limited(&mut &buf[..], len).expect("at the limit");
+        assert_eq!(frame, Some(Frame::Status));
+        let err = read_frame_limited(&mut &buf[..], len - 1).expect_err("over the limit");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let long = vec![b' '; 4096];
+        let err = read_frame_limited(&mut &long[..], 1024).expect_err("no newline");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

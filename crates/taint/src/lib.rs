@@ -49,6 +49,6 @@ mod state;
 
 pub use mask::TaintMask;
 pub use policy::{PropKind, TaintPolicy};
-pub use prov::{ProvMem, ProvSet};
+pub use prov::ProvSet;
 pub use shadow::ShadowMem;
 pub use state::TaintState;

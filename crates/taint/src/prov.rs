@@ -8,8 +8,9 @@
 //! fixed 32-bit bitmask: fault ids 0..=30 get their own bit and everything
 //! above shares bit 31, so membership stays `Copy` and costs one `or` per
 //! propagation step.
-
-use std::collections::HashMap;
+//!
+//! Per-byte provenance over guest memory lives beside the taint masks in
+//! [`crate::ShadowMem`].
 
 /// A set of fault (injection) ids, as a 32-bit bitmask.
 ///
@@ -60,65 +61,6 @@ impl ProvSet {
     }
 }
 
-/// Per-byte provenance over guest *physical* memory, the provenance twin of
-/// [`crate::ShadowMem`].
-///
-/// Keyed sparsely by byte address: provenance only ever exists where taint
-/// exists, and a fault campaign taints a tiny fraction of guest RAM, so a
-/// flat map beats page-granular shadowing here. The map holds an entry iff
-/// the set is non-empty, which makes iteration order (and therefore state
-/// digests) a pure function of contents.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct ProvMem {
-    bytes: HashMap<u64, ProvSet>,
-}
-
-impl ProvMem {
-    /// An empty provenance shadow.
-    pub fn new() -> ProvMem {
-        ProvMem::default()
-    }
-
-    /// The provenance of the byte at physical address `paddr`.
-    pub fn byte(&self, paddr: u64) -> ProvSet {
-        self.bytes.get(&paddr).copied().unwrap_or(ProvSet::EMPTY)
-    }
-
-    /// Sets (or, for the empty set, clears) the byte at `paddr`.
-    pub fn set_byte(&mut self, paddr: u64, p: ProvSet) {
-        if p.is_empty() {
-            self.bytes.remove(&paddr);
-        } else {
-            self.bytes.insert(paddr, p);
-        }
-    }
-
-    /// Union of the provenance of the 8 bytes at `paddr`.
-    pub fn load8(&self, paddr: u64) -> ProvSet {
-        (0..8u64).fold(ProvSet::EMPTY, |acc, i| acc.union(self.byte(paddr + i)))
-    }
-
-    /// Number of bytes carrying provenance.
-    pub fn provenanced_bytes(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Removes all provenance.
-    pub fn clear(&mut self) {
-        self.bytes.clear();
-    }
-
-    /// Visits every provenanced byte as `(paddr, set)` in ascending address
-    /// order — the deterministic sequence state digests hash.
-    pub fn for_each(&self, mut f: impl FnMut(u64, ProvSet)) {
-        let mut keys: Vec<u64> = self.bytes.keys().copied().collect();
-        keys.sort_unstable();
-        for paddr in keys {
-            f(paddr, self.bytes[&paddr]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,41 +89,6 @@ mod tests {
         assert_eq!(
             ProvSet::from_bits(ProvSet::single(5).bits()),
             ProvSet::single(5)
-        );
-    }
-
-    #[test]
-    fn mem_holds_entries_iff_nonempty() {
-        let mut m = ProvMem::new();
-        m.set_byte(100, ProvSet::single(2));
-        assert_eq!(m.provenanced_bytes(), 1);
-        assert_eq!(m.byte(100), ProvSet::single(2));
-        m.set_byte(100, ProvSet::EMPTY);
-        assert_eq!(m.provenanced_bytes(), 0);
-        assert_eq!(m.byte(100), ProvSet::EMPTY);
-    }
-
-    #[test]
-    fn load8_unions_bytes() {
-        let mut m = ProvMem::new();
-        m.set_byte(8, ProvSet::single(0));
-        m.set_byte(15, ProvSet::single(4));
-        assert_eq!(m.load8(8), ProvSet::single(0).union(ProvSet::single(4)));
-        assert_eq!(m.load8(16), ProvSet::EMPTY);
-    }
-
-    #[test]
-    fn for_each_is_sorted_and_content_pure() {
-        let mut m = ProvMem::new();
-        m.set_byte(30, ProvSet::single(1));
-        m.set_byte(10, ProvSet::single(0));
-        m.set_byte(20, ProvSet::single(2));
-        m.set_byte(20, ProvSet::EMPTY); // cleared entries never visited
-        let mut seen = Vec::new();
-        m.for_each(|paddr, p| seen.push((paddr, p)));
-        assert_eq!(
-            seen,
-            vec![(10, ProvSet::single(0)), (30, ProvSet::single(1))]
         );
     }
 }

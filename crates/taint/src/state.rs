@@ -1,7 +1,7 @@
 //! Whole-CPU taint state: shadow registers, shadow temporaries and shadow
 //! memory under one policy, with fault provenance carried in parallel.
 
-use crate::{ProvMem, ProvSet, ShadowMem, TaintMask, TaintPolicy};
+use crate::{ProvSet, ShadowMem, TaintMask, TaintPolicy};
 use chaser_isa::{FReg, Reg, NUM_FREGS, NUM_REGS};
 use chaser_tcg::{Global, Temp};
 
@@ -25,7 +25,6 @@ pub struct TaintState {
     prov_regs: [ProvSet; NUM_REGS],
     prov_fregs: [ProvSet; NUM_FREGS],
     prov_locals: Vec<ProvSet>,
-    prov_mem: ProvMem,
     /// True once any non-empty provenance has been written; while false,
     /// every provenance shadow is known-empty and reads/writes short-circuit.
     prov_any: bool,
@@ -54,7 +53,6 @@ impl TaintState {
             prov_regs: [ProvSet::EMPTY; NUM_REGS],
             prov_fregs: [ProvSet::EMPTY; NUM_FREGS],
             prov_locals: Vec::new(),
-            prov_mem: ProvMem::new(),
             prov_any: false,
             tainted_globals: 0,
             tainted_locals: 0,
@@ -274,17 +272,12 @@ impl TaintState {
         &mut self.mem
     }
 
-    /// Provenance shadow memory.
-    pub fn prov_mem(&self) -> &ProvMem {
-        &self.prov_mem
-    }
-
     /// The provenance of one physical byte.
     pub fn prov_byte(&self, paddr: u64) -> ProvSet {
         if !self.prov_any {
             return ProvSet::EMPTY;
         }
-        self.prov_mem.byte(paddr)
+        self.mem.prov_byte(paddr)
     }
 
     /// Sets (or clears) the provenance of one physical byte.
@@ -293,35 +286,44 @@ impl TaintState {
             self.prov_any = true;
         }
         if self.prov_any {
-            self.prov_mem.set_byte(paddr, p);
+            self.mem.set_prov_byte(paddr, p);
         }
     }
 
-    /// Union provenance of the 8 bytes at `paddr` (the provenance of an
-    /// 8-byte guest load).
-    pub fn prov_load8(&self, paddr: u64) -> ProvSet {
-        if !self.prov_any {
-            return ProvSet::EMPTY;
-        }
-        self.prov_mem.load8(paddr)
+    /// Mask and union provenance of the 8 bytes at `paddr` — an 8-byte
+    /// guest load's shadow — in one shadow-page lookup.
+    pub fn load8_with_prov(&self, paddr: u64) -> (TaintMask, ProvSet) {
+        self.mem.load8_prov(paddr)
     }
 
-    /// Stores provenance `p` over the 8 bytes at `paddr`, byte-gated by
-    /// `mask`: bytes whose taint byte is clean get empty provenance.
-    pub fn prov_store8(&mut self, paddr: u64, mask: TaintMask, p: ProvSet) {
+    /// Stores mask `mask` and mask-gated provenance `p` over the 8 bytes at
+    /// `paddr` — an 8-byte guest store's shadow — in one shadow-page
+    /// lookup.
+    pub fn store8_with_prov(&mut self, paddr: u64, mask: TaintMask, p: ProvSet) {
         if !p.is_empty() {
             self.prov_any = true;
         }
-        if !self.prov_any {
-            return;
+        self.mem.store8_prov(paddr, mask, p);
+    }
+
+    /// Copies the provenance of the `out.len()` physical bytes at `paddr`
+    /// into `out` (one shadow page's run, as [`ShadowMem::read_provs`]).
+    pub fn read_provs(&self, paddr: u64, out: &mut [ProvSet]) {
+        if self.prov_any {
+            self.mem.read_provs(paddr, out);
+        } else {
+            out.fill(ProvSet::EMPTY);
         }
-        for i in 0..8u64 {
-            let bp = if mask.byte(i as usize) != 0 {
-                p
-            } else {
-                ProvSet::EMPTY
-            };
-            self.prov_mem.set_byte(paddr + i, bp);
+    }
+
+    /// Sets (or clears) the provenance of the `provs.len()` physical bytes
+    /// at `paddr` (one shadow page's run, as [`ShadowMem::read_provs`]).
+    pub fn write_provs(&mut self, paddr: u64, provs: &[ProvSet]) {
+        if provs.iter().any(|p| !p.is_empty()) {
+            self.prov_any = true;
+        }
+        if self.prov_any {
+            self.mem.write_provs(paddr, provs);
         }
     }
 
@@ -345,7 +347,7 @@ impl TaintState {
     /// a store of a tainted temp is excluded from the fast path by its own
     /// mask check.
     pub fn mem_idle(&self) -> bool {
-        self.mem.is_idle() && (!self.prov_any || self.prov_mem.provenanced_bytes() == 0)
+        self.mem.is_idle() && (!self.prov_any || self.mem.provenanced_bytes() == 0)
     }
 
     /// True when *nothing* carries taint or provenance — no register, no
@@ -373,7 +375,6 @@ impl TaintState {
         self.prov_regs = [ProvSet::EMPTY; NUM_REGS];
         self.prov_fregs = [ProvSet::EMPTY; NUM_FREGS];
         self.prov_locals.clear();
-        self.prov_mem.clear();
         self.prov_any = false;
         self.tainted_globals = 0;
         self.tainted_locals = 0;
@@ -480,10 +481,10 @@ mod tests {
         let mut s = TaintState::new(TaintPolicy::Precise);
         let p = ProvSet::single(0);
         // Only byte 1 of the mask is tainted.
-        s.prov_store8(0x100, TaintMask(0xff00), p);
+        s.store8_with_prov(0x100, TaintMask(0xff00), p);
         assert_eq!(s.prov_byte(0x100), ProvSet::EMPTY);
         assert_eq!(s.prov_byte(0x101), p);
-        assert_eq!(s.prov_load8(0x100), p);
+        assert_eq!(s.load8_with_prov(0x100), (TaintMask(0xff00), p));
     }
 
     #[test]
@@ -493,6 +494,6 @@ mod tests {
         assert!(s.prov_any());
         s.clear();
         assert!(!s.prov_any());
-        assert_eq!(s.prov_mem().provenanced_bytes(), 0);
+        assert_eq!(s.mem().provenanced_bytes(), 0);
     }
 }

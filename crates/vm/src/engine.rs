@@ -156,12 +156,8 @@ fn load_u64_tainted(
 ) -> Result<(u64, TaintMask, ProvSet, u64), MemFault> {
     let paddr = aspace.translate_read(vaddr)?;
     if vaddr % PAGE_SIZE <= PAGE_SIZE - 8 {
-        Ok((
-            phys.read_u64(paddr),
-            taint.mem().load8(paddr),
-            taint.prov_load8(paddr),
-            paddr,
-        ))
+        let (mask, prov) = taint.load8_with_prov(paddr);
+        Ok((phys.read_u64(paddr), mask, prov, paddr))
     } else {
         let mut val = [0u8; 8];
         let mut mask = [0u8; 8];
@@ -195,8 +191,7 @@ fn store_u64_tainted(
     let paddr = aspace.translate_write(vaddr)?;
     if vaddr % PAGE_SIZE <= PAGE_SIZE - 8 {
         phys.write_u64(paddr, value);
-        taint.mem_mut().store8(paddr, mask);
-        taint.prov_store8(paddr, mask, prov);
+        taint.store8_with_prov(paddr, mask, prov);
     } else {
         for (i, b) in value.to_le_bytes().iter().enumerate() {
             let p = aspace.translate_write(vaddr + i as u64)?;
@@ -486,28 +481,37 @@ fn exec_block<const SHADOW: bool>(
     }
 
     let exit = 'run: {
-        while let Some(op) = ops.next() {
-            match *op {
-                TcgOp::InsnStart { pc } => {
-                    if exec >= limit {
-                        // Safe resume point: the instruction has not begun.
-                        proc.cpu.pc = pc;
-                        break 'run BlockExit::Limit;
-                    }
-                    exec += 1;
-                    if SHADOW {
-                        cur_pc = pc;
-                    }
-                    if has_fn_hooks {
-                        if let Some(&hook_id) = env.hooks.fn_hooks.get(&(env.pid, pc)) {
-                            let icount = env.icount_base + exec;
-                            call_fn_hook(env, hook_id, proc, phys, taint, icount, pc);
-                            if !SHADOW && !taint.fully_idle() {
-                                break 'run BlockExit::LeaveClean { op: next_op!(), pc };
-                            }
+        while let Some(mut op) = ops.next() {
+            // Instruction boundaries are about half of all ops: they are
+            // handled here, ahead of the op `match`, so they cost a
+            // predictable compare instead of a trip through its jump table.
+            while let TcgOp::InsnStart { pc } = *op {
+                if exec >= limit {
+                    // Safe resume point: the instruction has not begun.
+                    proc.cpu.pc = pc;
+                    break 'run BlockExit::Limit;
+                }
+                exec += 1;
+                if SHADOW {
+                    cur_pc = pc;
+                }
+                if has_fn_hooks {
+                    if let Some(&hook_id) = env.hooks.fn_hooks.get(&(env.pid, pc)) {
+                        let icount = env.icount_base + exec;
+                        call_fn_hook(env, hook_id, proc, phys, taint, icount, pc);
+                        if !SHADOW && !taint.fully_idle() {
+                            break 'run BlockExit::LeaveClean { op: next_op!(), pc };
                         }
                     }
                 }
+                op = match ops.next() {
+                    Some(op) => op,
+                    None => break,
+                };
+            }
+            match *op {
+                // Consumed above; only a block ending in one gets here.
+                TcgOp::InsnStart { .. } => {}
                 TcgOp::Movi { d, imm } => {
                     setval!(d, imm);
                     if SHADOW {

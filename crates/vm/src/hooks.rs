@@ -202,8 +202,7 @@ impl GuestCtx<'_> {
         prov: ProvSet,
     ) -> Result<(), MemFault> {
         let paddr = self.aspace.translate_read(vaddr)?;
-        self.taint.mem_mut().store8(paddr, mask);
-        self.taint.prov_store8(paddr, mask, prov);
+        self.taint.store8_with_prov(paddr, mask, prov);
         Ok(())
     }
 }

@@ -169,25 +169,30 @@ impl PhysMemory {
     /// and copying shared pages on demand.
     #[inline]
     fn page_mut(&mut self, paddr: u64) -> &mut Page {
-        let slot = &mut self.pages[(paddr / PAGE_SIZE) as usize];
-        match slot {
+        let idx = (paddr / PAGE_SIZE) as usize;
+        if !matches!(self.pages[idx], Some(PageState::Owned(_))) {
+            self.own_page(idx);
+        }
+        match &mut self.pages[idx] {
             Some(PageState::Owned(p)) => p,
+            _ => unreachable!("own_page installed an owned page"),
+        }
+    }
+
+    /// Makes page `idx`, which is not owned yet, private: copies a shared
+    /// page (counting the copy-on-write) or materialises a zero page.
+    #[cold]
+    #[inline(never)]
+    fn own_page(&mut self, idx: usize) {
+        let slot = &mut self.pages[idx];
+        let page = match slot {
             Some(PageState::Shared(shared)) => {
                 self.stats.pages_cow += 1;
-                *slot = Some(PageState::Owned(Box::new(**shared)));
-                match slot {
-                    Some(PageState::Owned(p)) => p,
-                    _ => unreachable!("just installed an owned page"),
-                }
+                Box::new(**shared)
             }
-            None => {
-                *slot = Some(PageState::Owned(Box::new(ZERO_PAGE)));
-                match slot {
-                    Some(PageState::Owned(p)) => p,
-                    _ => unreachable!("just installed an owned page"),
-                }
-            }
-        }
+            _ => Box::new(ZERO_PAGE),
+        };
+        *slot = Some(PageState::Owned(page));
     }
 
     /// Reads one byte of physical memory.
@@ -208,6 +213,7 @@ impl PhysMemory {
     /// Reads a little-endian u64 that must not cross a physical page
     /// boundary (frames are page-aligned, so the paging layer's fast path
     /// guarantees this).
+    #[inline]
     pub fn read_u64(&self, paddr: u64) -> u64 {
         let off = (paddr % PAGE_SIZE) as usize;
         debug_assert!(off + 8 <= PAGE_BYTES, "u64 read crosses a page");
@@ -216,6 +222,7 @@ impl PhysMemory {
 
     /// Writes a little-endian u64 (same single-page contract as
     /// [`PhysMemory::read_u64`]).
+    #[inline]
     pub fn write_u64(&mut self, paddr: u64, v: u64) {
         let off = (paddr % PAGE_SIZE) as usize;
         debug_assert!(off + 8 <= PAGE_BYTES, "u64 write crosses a page");

@@ -297,11 +297,10 @@ impl Node {
     /// Propagates the guest [`MemFault`] on bad addresses.
     pub fn read_guest_taint(&self, pid: u64, vaddr: u64, len: u64) -> Result<Vec<u8>, MemFault> {
         let proc = self.process(pid).expect("unknown pid");
-        let mut out = Vec::with_capacity(len as usize);
-        for i in 0..len {
-            let paddr = proc.aspace.translate_read(vaddr + i)?;
-            out.push(self.taint.mem().byte(paddr));
-        }
+        let mut out = vec![0u8; len as usize];
+        guest_page_runs(&proc.aspace, vaddr, out.len(), |paddr, run| {
+            self.taint.mem().read_masks(paddr, &mut out[run]);
+        })?;
         Ok(out)
     }
 
@@ -318,11 +317,10 @@ impl Node {
         masks: &[u8],
     ) -> Result<(), MemFault> {
         let idx = self.index(pid).expect("unknown pid");
-        for (i, m) in masks.iter().enumerate() {
-            let paddr = self.procs[idx].aspace.translate_read(vaddr + i as u64)?;
-            self.taint.mem_mut().set_byte(paddr, *m);
-        }
-        Ok(())
+        let taint = &mut self.taint;
+        guest_page_runs(&self.procs[idx].aspace, vaddr, masks.len(), |paddr, run| {
+            taint.mem_mut().write_masks(paddr, &masks[run]);
+        })
     }
 
     /// Reads the per-byte fault provenance of a guest buffer.
@@ -337,11 +335,10 @@ impl Node {
         len: u64,
     ) -> Result<Vec<chaser_taint::ProvSet>, MemFault> {
         let proc = self.process(pid).expect("unknown pid");
-        let mut out = Vec::with_capacity(len as usize);
-        for i in 0..len {
-            let paddr = proc.aspace.translate_read(vaddr + i)?;
-            out.push(self.taint.prov_byte(paddr));
-        }
+        let mut out = vec![chaser_taint::ProvSet::EMPTY; len as usize];
+        guest_page_runs(&proc.aspace, vaddr, out.len(), |paddr, run| {
+            self.taint.read_provs(paddr, &mut out[run]);
+        })?;
         Ok(out)
     }
 
@@ -358,11 +355,10 @@ impl Node {
         provs: &[chaser_taint::ProvSet],
     ) -> Result<(), MemFault> {
         let idx = self.index(pid).expect("unknown pid");
-        for (i, p) in provs.iter().enumerate() {
-            let paddr = self.procs[idx].aspace.translate_read(vaddr + i as u64)?;
-            self.taint.set_prov_byte(paddr, *p);
-        }
-        Ok(())
+        let taint = &mut self.taint;
+        guest_page_runs(&self.procs[idx].aspace, vaddr, provs.len(), |paddr, run| {
+            taint.write_provs(paddr, &provs[run]);
+        })
     }
 
     /// The node's taint state.
@@ -522,6 +518,28 @@ fn poke(aspace: &AddressSpace, phys: &mut PhysMemory, vaddr: u64, data: &[u8]) {
         cur += in_page as u64;
         off += in_page;
     }
+}
+
+/// Splits the `len`-byte guest buffer at `vaddr` at guest page boundaries
+/// and calls `f(paddr, run)` once per page, with the physical address of
+/// the run's first byte and the run's index range in the buffer: one
+/// translation per page instead of per byte. A page that does not
+/// translate for reading stops the walk with its fault; runs before it have
+/// already been handed to `f`, as a byte-wise walk would have.
+fn guest_page_runs(
+    aspace: &AddressSpace,
+    vaddr: u64,
+    len: usize,
+    mut f: impl FnMut(u64, std::ops::Range<usize>),
+) -> Result<(), MemFault> {
+    let mut done = 0;
+    while done < len {
+        let va = vaddr + done as u64;
+        let n = ((PAGE_SIZE - va % PAGE_SIZE) as usize).min(len - done);
+        f(aspace.translate_read(va)?, done..done + n);
+        done += n;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -122,85 +122,116 @@ impl AddressSpace {
     }
 
     /// Translates a virtual address for a data read.
+    #[inline(always)]
     pub fn translate_read(&self, vaddr: u64) -> Result<u64, MemFault> {
         self.translate(vaddr, false, false)
     }
 
     /// Translates a virtual address for a data write.
+    #[inline(always)]
     pub fn translate_write(&self, vaddr: u64) -> Result<u64, MemFault> {
         self.translate(vaddr, true, false)
     }
 
     /// Translates a virtual address for instruction fetch.
+    #[inline(always)]
     pub fn translate_exec(&self, vaddr: u64) -> Result<u64, MemFault> {
         self.translate(vaddr, false, true)
     }
 
+    /// The TLB-hit path, inlined into every guest access: one array index
+    /// and one compare. Misses, and hits lacking the needed permission, go
+    /// through [`AddressSpace::translate_slow`].
+    #[inline(always)]
     fn translate(&self, vaddr: u64, write: bool, exec: bool) -> Result<u64, MemFault> {
         let vpn = vaddr / PAGE_SIZE;
-        let off = vaddr % PAGE_SIZE;
+        let cached = self.tlb[vpn as usize & (TLB_SIZE - 1)].load(Ordering::Relaxed);
+        if cached & TLB_TAG_MASK == vpn + 1
+            && (!write || cached & TLB_WRITE_BIT != 0)
+            && (!exec || cached & TLB_EXEC_BIT != 0)
+        {
+            let frame = ((cached >> TLB_TAG_BITS) & TLB_FRAME_MASK) * PAGE_SIZE;
+            return Ok(frame + vaddr % PAGE_SIZE);
+        }
+        self.translate_slow(vaddr, write, exec)
+    }
+
+    /// Page-table walk behind a TLB miss: refills the TLB slot and checks
+    /// the permissions.
+    #[cold]
+    #[inline(never)]
+    fn translate_slow(&self, vaddr: u64, write: bool, exec: bool) -> Result<u64, MemFault> {
+        let vpn = vaddr / PAGE_SIZE;
         let tag = vpn + 1;
-        let slot = &self.tlb[vpn as usize & (TLB_SIZE - 1)];
-        let cached = slot.load(Ordering::Relaxed);
-        let (frame, writable, executable) = if cached & TLB_TAG_MASK == tag {
-            // TLB hit: one array index instead of a hash lookup.
-            (
-                ((cached >> TLB_TAG_BITS) & TLB_FRAME_MASK) * PAGE_SIZE,
-                cached & TLB_WRITE_BIT != 0,
-                cached & TLB_EXEC_BIT != 0,
-            )
-        } else {
-            let pte = self.pages.get(&vpn).ok_or(MemFault {
-                vaddr,
-                kind: MemFaultKind::Unmapped,
-            })?;
-            let frame_pn = pte.frame / PAGE_SIZE;
-            if tag <= TLB_TAG_MASK && frame_pn <= TLB_FRAME_MASK && pte.frame % PAGE_SIZE == 0 {
-                let mut entry = tag | (frame_pn << TLB_TAG_BITS);
-                if pte.perms.write {
-                    entry |= TLB_WRITE_BIT;
-                }
-                if pte.perms.exec {
-                    entry |= TLB_EXEC_BIT;
-                }
-                slot.store(entry, Ordering::Relaxed);
+        let pte = self.pages.get(&vpn).ok_or(MemFault {
+            vaddr,
+            kind: MemFaultKind::Unmapped,
+        })?;
+        let frame_pn = pte.frame / PAGE_SIZE;
+        if tag <= TLB_TAG_MASK && frame_pn <= TLB_FRAME_MASK && pte.frame % PAGE_SIZE == 0 {
+            let mut entry = tag | (frame_pn << TLB_TAG_BITS);
+            if pte.perms.write {
+                entry |= TLB_WRITE_BIT;
             }
-            (pte.frame, pte.perms.write, pte.perms.exec)
-        };
-        if (write && !writable) || (exec && !executable) {
+            if pte.perms.exec {
+                entry |= TLB_EXEC_BIT;
+            }
+            self.tlb[vpn as usize & (TLB_SIZE - 1)].store(entry, Ordering::Relaxed);
+        }
+        if (write && !pte.perms.write) || (exec && !pte.perms.exec) {
             return Err(MemFault {
                 vaddr,
                 kind: MemFaultKind::Protection,
             });
         }
-        Ok(frame + off)
+        Ok(pte.frame + vaddr % PAGE_SIZE)
     }
 
     /// Reads a guest u64 (may cross a page boundary).
+    #[inline(always)]
     pub fn read_u64(&self, phys: &PhysMemory, vaddr: u64) -> Result<u64, MemFault> {
         if vaddr % PAGE_SIZE <= PAGE_SIZE - 8 {
             let p = self.translate_read(vaddr)?;
             Ok(phys.read_u64(p))
         } else {
-            let mut bytes = [0u8; 8];
-            for (i, b) in bytes.iter_mut().enumerate() {
-                let p = self.translate_read(vaddr + i as u64)?;
-                *b = phys.read_u8(p);
-            }
-            Ok(u64::from_le_bytes(bytes))
+            self.read_u64_straddling(phys, vaddr)
         }
     }
 
+    #[cold]
+    #[inline(never)]
+    fn read_u64_straddling(&self, phys: &PhysMemory, vaddr: u64) -> Result<u64, MemFault> {
+        let mut bytes = [0u8; 8];
+        for (i, b) in bytes.iter_mut().enumerate() {
+            let p = self.translate_read(vaddr + i as u64)?;
+            *b = phys.read_u8(p);
+        }
+        Ok(u64::from_le_bytes(bytes))
+    }
+
     /// Writes a guest u64 (may cross a page boundary).
+    #[inline(always)]
     pub fn write_u64(&self, phys: &mut PhysMemory, vaddr: u64, v: u64) -> Result<(), MemFault> {
         if vaddr % PAGE_SIZE <= PAGE_SIZE - 8 {
             let p = self.translate_write(vaddr)?;
             phys.write_u64(p, v);
+            Ok(())
         } else {
-            for (i, b) in v.to_le_bytes().iter().enumerate() {
-                let p = self.translate_write(vaddr + i as u64)?;
-                phys.write_u8(p, *b);
-            }
+            self.write_u64_straddling(phys, vaddr, v)
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn write_u64_straddling(
+        &self,
+        phys: &mut PhysMemory,
+        vaddr: u64,
+        v: u64,
+    ) -> Result<(), MemFault> {
+        for (i, b) in v.to_le_bytes().iter().enumerate() {
+            let p = self.translate_write(vaddr + i as u64)?;
+            phys.write_u8(p, *b);
         }
         Ok(())
     }

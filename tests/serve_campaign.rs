@@ -365,3 +365,41 @@ fn admission_rejects_unknown_apps_budgets_and_unknown_jobs() {
     drain(&endpoint).expect("drain");
     daemon.wait();
 }
+
+#[test]
+fn over_long_request_line_closes_only_its_connection() {
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
+
+    let dir = temp_dir("frame-limit");
+    let endpoint = dir.join("sock").display().to_string();
+    let daemon = Daemon::start(&endpoint, &dir.join("state"), ServeConfig::default())
+        .expect("daemon starts");
+
+    // 2 MiB without a newline: the daemon stops reading at its 1 MiB
+    // request cap and closes this connection without replying.
+    let mut hog = UnixStream::connect(&endpoint).expect("connect");
+    hog.set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    // The daemon may close mid-write; a broken pipe here is expected.
+    let _ = hog.write_all(&vec![b'x'; 2 << 20]);
+    let mut reply = Vec::new();
+    match hog.read_to_end(&mut reply) {
+        Ok(_) => {}
+        Err(e) => assert!(
+            !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "daemon kept the over-long connection open: {e}"
+        ),
+    }
+    assert!(reply.is_empty(), "no frame answers an over-long line");
+
+    // A fresh connection is served normally.
+    let report = status(&endpoint).expect("status after the over-long line");
+    assert!(report.jobs.is_empty());
+
+    drain(&endpoint).expect("drain");
+    daemon.wait();
+}
