@@ -11,6 +11,10 @@ RUSTFLAGS="-D warnings" cargo build --release --offline
 cargo test -q --offline
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# The benchmark crate (perfbench/) is a workspace of its own, so the two
+# lints above never see it.
+cargo fmt --check --manifest-path perfbench/Cargo.toml
+cargo clippy --offline --locked --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 # Resilience smoke: journaled 20-run campaign with a forced harness panic
 # and a watchdog budget, killed mid-way (journal truncation) and resumed;

@@ -79,7 +79,8 @@ pub use injector::{
 pub use insn_trace::{InsnLevelTracer, InsnTraceHandle, InsnTraceSummary};
 pub use journal::{
     class_from_name, class_name, encode as encode_json, golden_digest, parse_json, CampaignJournal,
-    JournalError, JournalHeader, JournalRow, Json, ShardMeta, DEFAULT_SYNC_ROWS, JOURNAL_VERSION,
+    Fnv1a, JournalError, JournalHeader, JournalRow, Json, ShardMeta, DEFAULT_SYNC_ROWS,
+    JOURNAL_VERSION,
 };
 pub use models::{
     DeterministicInjector, GroupInjector, IntermittentInjector, ProbabilisticInjector,

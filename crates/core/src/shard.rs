@@ -141,6 +141,26 @@ pub enum ChaosKind {
     Stall,
 }
 
+impl ChaosKind {
+    /// The wire name (`kill` / `stall`) used by campaign specs and the
+    /// `CHASER_SHARD_CHAOS` directive.
+    pub fn name(self) -> &'static str {
+        match self {
+            ChaosKind::Kill => "kill",
+            ChaosKind::Stall => "stall",
+        }
+    }
+
+    /// Parses a wire name produced by [`ChaosKind::name`].
+    pub fn from_name(name: &str) -> Option<ChaosKind> {
+        match name {
+            "kill" => Some(ChaosKind::Kill),
+            "stall" => Some(ChaosKind::Stall),
+            _ => None,
+        }
+    }
+}
+
 /// One chaos directive for the shard supervisor's fault-injection knob
 /// (`CampaignConfig::shard_chaos`): harass `shard`'s workers after they
 /// journal `after_rows` rows, on every attempt up to and including
@@ -489,23 +509,8 @@ pub fn merge_shard_journals(
     let mut metas: Vec<ShardMeta> = Vec::new();
     let mut by_idx: BTreeMap<u64, (JournalRow, String)> = BTreeMap::new();
     for path in paths {
-        let (header, meta, rows) = CampaignJournal::read_shard(path)?;
+        let (meta, rows) = read_checked_shard(path, expected, None)?;
         let path_str = path.display().to_string();
-        if header.trace_regime != expected.trace_regime {
-            return Err(ShardError::RegimeMismatch {
-                path: path_str,
-                expected: expected.trace_regime,
-                found: header.trace_regime,
-            });
-        }
-        if header != *expected {
-            return Err(JournalError::HeaderMismatch {
-                path: path_str,
-                expected: *expected,
-                found: header,
-            }
-            .into());
-        }
         if meta.start > meta.end || meta.end > expected.runs {
             return Err(ShardError::BadRange {
                 path: path_str,
@@ -559,15 +564,50 @@ pub fn merge_shard_journals(
     Ok(by_idx.into_values().map(|(row, _)| row).collect())
 }
 
+/// Reads the shard journal at `path` and checks that it belongs to the
+/// campaign whose header is `expected`: the trace regime first (a typed
+/// [`ShardError::RegimeMismatch`]), then the whole header, then — when
+/// `meta` is given — the shard assignment.
+fn read_checked_shard(
+    path: &Path,
+    expected: &JournalHeader,
+    meta: Option<ShardMeta>,
+) -> Result<(ShardMeta, Vec<JournalRow>), ShardError> {
+    let (header, found, rows) = CampaignJournal::read_shard(path)?;
+    let path = path.display().to_string();
+    if header.trace_regime != expected.trace_regime {
+        return Err(ShardError::RegimeMismatch {
+            path,
+            expected: expected.trace_regime,
+            found: header.trace_regime,
+        });
+    }
+    if header != *expected {
+        return Err(JournalError::HeaderMismatch {
+            path,
+            expected: *expected,
+            found: header,
+        }
+        .into());
+    }
+    match meta {
+        Some(expected) if found != expected => Err(ShardError::MetaMismatch {
+            path,
+            expected,
+            found,
+        }),
+        _ => Ok((found, rows)),
+    }
+}
+
 /// Parses a `CHASER_SHARD_CHAOS` directive (`kill:<rows>` / `stall:<rows>`).
 fn parse_chaos_env(text: &str) -> Option<(u64, ChaosAction)> {
     let (kind, rows) = text.split_once(':')?;
-    let rows = rows.parse().ok()?;
-    match kind {
-        "kill" => Some((rows, ChaosAction::Exit)),
-        "stall" => Some((rows, ChaosAction::Stall)),
-        _ => None,
-    }
+    let action = match ChaosKind::from_name(kind)? {
+        ChaosKind::Kill => ChaosAction::Exit,
+        ChaosKind::Stall => ChaosAction::Stall,
+    };
+    Some((rows.parse().ok()?, action))
 }
 
 fn env_u64(var: &str) -> Result<u64, JournalError> {
@@ -642,29 +682,7 @@ impl Campaign {
         // assignment mismatch must abort before any worker runs.
         for (meta, path) in plan.ranges.iter().zip(&paths) {
             if path.exists() {
-                let (found_header, found_meta, _) = CampaignJournal::read_shard(path)?;
-                if found_header.trace_regime != header.trace_regime {
-                    return Err(ShardError::RegimeMismatch {
-                        path: path.display().to_string(),
-                        expected: header.trace_regime,
-                        found: found_header.trace_regime,
-                    });
-                }
-                if found_header != header {
-                    return Err(JournalError::HeaderMismatch {
-                        path: path.display().to_string(),
-                        expected: header,
-                        found: found_header,
-                    }
-                    .into());
-                }
-                if found_meta != *meta {
-                    return Err(ShardError::MetaMismatch {
-                        path: path.display().to_string(),
-                        expected: *meta,
-                        found: found_meta,
-                    });
-                }
+                read_checked_shard(path, &header, Some(*meta))?;
             } else {
                 CampaignJournal::create_shard(path, header, *meta, self.cfg.journal_sync_rows)?;
             }
@@ -761,23 +779,7 @@ impl Campaign {
         path: &Path,
         ctl: &ShardCtl,
     ) -> Result<(), ShardError> {
-        let expected = self.journal_header(prepared);
-        let (header, found_meta, rows) = CampaignJournal::read_shard(path)?;
-        if header != expected {
-            return Err(JournalError::HeaderMismatch {
-                path: path.display().to_string(),
-                expected,
-                found: header,
-            }
-            .into());
-        }
-        if found_meta != meta {
-            return Err(ShardError::MetaMismatch {
-                path: path.display().to_string(),
-                expected: meta,
-                found: found_meta,
-            });
-        }
+        let (_, rows) = read_checked_shard(path, &self.journal_header(prepared), Some(meta))?;
         let done: BTreeSet<u64> = rows.iter().map(JournalRow::run_idx).collect();
         let missing: Vec<u64> = (meta.start..meta.end)
             .filter(|i| !done.contains(i))
@@ -958,11 +960,10 @@ impl Campaign {
             .stdout(Stdio::null())
             .stderr(Stdio::null());
         if let Some(c) = chaos {
-            let kind = match c.kind {
-                ChaosKind::Kill => "kill",
-                ChaosKind::Stall => "stall",
-            };
-            cmd.env(ENV_SHARD_CHAOS, format!("{kind}:{}", c.after_rows));
+            cmd.env(
+                ENV_SHARD_CHAOS,
+                format!("{}:{}", c.kind.name(), c.after_rows),
+            );
         }
         let Ok(mut child) = cmd.spawn() else {
             return;
@@ -1050,6 +1051,47 @@ mod tests {
         );
     }
 
+    /// A worker handed a shard journal written under another trace regime
+    /// names the regime instead of reporting an opaque header mismatch.
+    #[test]
+    fn shard_worker_names_a_foreign_trace_regime() {
+        use chaser_workloads::matvec;
+        let mv = matvec::MatvecConfig::default();
+        let app = crate::AppSpec::replicated(matvec::program(&mv), mv.ranks as usize, 4);
+        let cfg = crate::CampaignConfig {
+            runs: 2,
+            ..crate::CampaignConfig::default()
+        };
+        let campaign = Campaign::new(app, cfg);
+        let prepared = campaign.prepare();
+        let mut header = campaign.journal_header(&prepared);
+        assert_eq!(header.trace_regime, TraceRegime::Full);
+        header.trace_regime = TraceRegime::Off;
+        let dir = std::env::temp_dir().join(format!("chaser-shard-regime-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("campaign.shard-0.jsonl");
+        let meta = ShardMeta {
+            shard: 0,
+            start: 0,
+            end: 2,
+        };
+        CampaignJournal::create_shard(&path, header, meta, 1).expect("create");
+        let ctl = ShardCtl::new(None, None);
+        let got = campaign.run_shard_attempt(&prepared, meta, &path, &ctl);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            matches!(
+                got,
+                Err(ShardError::RegimeMismatch {
+                    expected: TraceRegime::Full,
+                    found: TraceRegime::Off,
+                    ..
+                })
+            ),
+            "{got:?}"
+        );
+    }
+
     #[test]
     fn chaos_env_round_trips() {
         assert!(matches!(
@@ -1062,6 +1104,10 @@ mod tests {
         ));
         assert!(parse_chaos_env("nonsense").is_none());
         assert!(parse_chaos_env("kill:x").is_none());
+        assert!(parse_chaos_env("halt:5").is_none());
+        for kind in [ChaosKind::Kill, ChaosKind::Stall] {
+            assert_eq!(ChaosKind::from_name(kind.name()), Some(kind));
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use chaser_tainthub::{HubSnapshot, MsgId, TaintHub};
 use chaser_tcg::{BaseLayer, CacheStats};
 use chaser_vm::{
     BufferedTaintEvent, EngineStats, ExecTuning, ExitStatus, MpiRequest, Node, NodeSnapshot,
-    ProcState, ProcessFiles, SharedTaintSink, Signal, SliceExit, TaintAccessKind,
+    Payload, ProcState, ProcessFiles, SharedTaintSink, Signal, SliceExit, TaintAccessKind,
 };
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -1039,16 +1039,16 @@ impl Cluster {
                 ));
                 h.write_u64(proc.icount);
                 h.write_u64(proc.brk);
-                h.write_bytes(&proc.files.stdout);
-                h.write_bytes(&proc.files.output);
+                h.write(&proc.files.stdout);
+                h.write(&proc.files.output);
             }
             node.for_each_resident_page(|base, bytes| {
                 h.write_u64(base);
-                h.write_bytes(bytes);
+                h.write(bytes);
             });
             node.taint().mem().for_each_tainted_page(|base, masks| {
                 h.write_u64(base);
-                h.write_bytes(masks);
+                h.write(masks);
             });
             node.taint().mem().for_each_prov(|paddr, p| {
                 h.write_u64(paddr);
@@ -1189,19 +1189,11 @@ impl Cluster {
                 }
                 self.complete(rank, n);
             }
-            abi::MPI_SEND => self.do_send(rank, a),
+            abi::MPI_SEND => self.do_send(rank, a, 0),
             abi::MPI_RECV => {
-                if !st.inited || st.finalized {
-                    return self.mpi_abort(rank, MpiErrorKind::NotInitialized);
-                }
-                let Some(dtype) = MpiDatatype::from_code(a[2]) else {
-                    return self.mpi_abort(rank, MpiErrorKind::InvalidDatatype);
-                };
-                if a[1].saturating_mul(dtype.size()) > MAX_MSG_BYTES {
-                    return self.mpi_abort(rank, MpiErrorKind::InvalidCount);
-                }
-                let Some(args) = self.parse_recv_args(rank, a, dtype) else {
-                    return; // job already aborted
+                let args = match self.parse_recv_args(rank, a) {
+                    Ok(args) => args,
+                    Err(kind) => return self.mpi_abort(rank, kind),
                 };
                 self.state[rank as usize].pending_recv = Some(args);
                 self.try_complete_recv(rank);
@@ -1210,20 +1202,12 @@ impl Cluster {
                 let id = self.state[rank as usize].requests.len() as u64;
                 // Eager buffered send: the request is born complete.
                 self.state[rank as usize].requests.push(Request::Done);
-                self.do_send_ret(rank, a, id);
+                self.do_send(rank, a, id);
             }
             abi::MPI_IRECV => {
-                if !st.inited || st.finalized {
-                    return self.mpi_abort(rank, MpiErrorKind::NotInitialized);
-                }
-                let Some(dtype) = MpiDatatype::from_code(a[2]) else {
-                    return self.mpi_abort(rank, MpiErrorKind::InvalidDatatype);
-                };
-                if a[1].saturating_mul(dtype.size()) > MAX_MSG_BYTES {
-                    return self.mpi_abort(rank, MpiErrorKind::InvalidCount);
-                }
-                let Some(args) = self.parse_recv_args(rank, a, dtype) else {
-                    return;
+                let args = match self.parse_recv_args(rank, a) {
+                    Ok(args) => args,
+                    Err(kind) => return self.mpi_abort(rank, kind),
                 };
                 let id = self.state[rank as usize].requests.len();
                 self.state[rank as usize]
@@ -1340,30 +1324,26 @@ impl Cluster {
         }
     }
 
-    /// Validates receive arguments (wildcards allowed); `None` means the
-    /// job was aborted.
-    fn parse_recv_args(&mut self, rank: u32, a: [u64; 6], dtype: MpiDatatype) -> Option<RecvArgs> {
-        let n = self.nranks() as u64;
-        let source = if a[3] == abi::MPI_ANY {
-            None
-        } else {
-            if a[3] >= n {
-                self.mpi_abort(rank, MpiErrorKind::InvalidRank);
-                return None;
-            }
-            Some(a[3] as u32)
-        };
-        let tag = if a[4] == abi::MPI_ANY {
-            None
-        } else {
-            Some(a[4])
-        };
-        Some(RecvArgs {
+    /// Validates receive arguments (wildcards allowed).
+    fn parse_recv_args(&self, rank: u32, a: [u64; 6]) -> Result<RecvArgs, MpiErrorKind> {
+        let st = &self.state[rank as usize];
+        if !st.inited || st.finalized {
+            return Err(MpiErrorKind::NotInitialized);
+        }
+        let dtype = MpiDatatype::from_code(a[2]).ok_or(MpiErrorKind::InvalidDatatype)?;
+        if a[1].saturating_mul(dtype.size()) > MAX_MSG_BYTES {
+            return Err(MpiErrorKind::InvalidCount);
+        }
+        let given = |v: u64| v != abi::MPI_ANY;
+        if given(a[3]) && a[3] >= self.nranks() as u64 {
+            return Err(MpiErrorKind::InvalidRank);
+        }
+        Ok(RecvArgs {
             buf: a[0],
             count: a[1],
             dtype,
-            source,
-            tag,
+            source: given(a[3]).then_some(a[3] as u32),
+            tag: given(a[4]).then_some(a[4]),
         })
     }
 
@@ -1373,11 +1353,7 @@ impl Cluster {
         self.complete(rank, 0);
     }
 
-    fn do_send(&mut self, rank: u32, a: [u64; 6]) {
-        self.do_send_ret(rank, a, 0)
-    }
-
-    fn do_send_ret(&mut self, rank: u32, a: [u64; 6], ret: u64) {
+    fn do_send(&mut self, rank: u32, a: [u64; 6], ret: u64) {
         let (buf, count, dtype_code, dest, tag) = (a[0], a[1], a[2], a[3], a[4]);
         let n = self.nranks() as u64;
         {
@@ -1401,55 +1377,34 @@ impl Cluster {
             return self.mpi_abort(rank, MpiErrorKind::RankDied);
         }
 
-        let (ni, pid) = self.ranks[rank as usize];
-        // A corrupted buffer pointer faults inside the "MPI library": the
-        // rank dies with an OS exception, exactly like real MPI.
-        let data = match self.nodes[ni].read_guest(pid, buf, bytes) {
-            Ok(d) => d,
-            Err(_) => return self.kill_rank(rank, Signal::Segv),
+        let Ok(p) = self.read_from(rank, buf, bytes, self.taint_on()) else {
+            return;
         };
-        let taint_on = self.cfg.taint_policy != TaintPolicy::Disabled;
-        let masks = if taint_on {
-            self.nodes[ni]
-                .read_guest_taint(pid, buf, bytes)
-                .unwrap_or_else(|_| vec![0; bytes as usize])
-        } else {
-            vec![0; bytes as usize]
-        };
-        let tainted = masks.iter().any(|&m| m != 0);
-
+        let tainted_bytes = p.tainted_bytes();
         let seq = self.send_seq;
         self.send_seq += 1;
-
+        let Payload { data, masks, provs } = p;
         let taint_header = match self.cfg.taint_carrier {
-            TaintCarrier::Header => Some(masks.clone()),
+            TaintCarrier::Header => Some(masks),
+            TaintCarrier::Hub if tainted_bytes > 0 => {
+                // Tainted sends also carry their fault provenance, so the
+                // receiver can extend the propagation graph across the rank
+                // boundary. Empty when the sender tracks no provenance.
+                self.hub.publish_full(
+                    MsgId {
+                        src: rank,
+                        dest,
+                        tag,
+                    },
+                    seq,
+                    masks,
+                    self.round,
+                    provs.iter().map(|p| p.bits()).collect(),
+                );
+                None
+            }
             _ => None,
         };
-        if self.cfg.taint_carrier == TaintCarrier::Hub && tainted {
-            // Tainted sends also carry their fault provenance, so the
-            // receiver can extend the propagation graph across the rank
-            // boundary. Empty when the sender tracks no provenance.
-            let provs = if self.nodes[ni].taint().prov_any() {
-                self.nodes[ni]
-                    .read_guest_prov(pid, buf, bytes)
-                    .map(|ps| ps.iter().map(|p| p.bits()).collect())
-                    .unwrap_or_default()
-            } else {
-                Vec::new()
-            };
-            self.hub.publish_full(
-                MsgId {
-                    src: rank,
-                    dest,
-                    tag,
-                },
-                seq,
-                masks.clone(),
-                self.round,
-                provs,
-            );
-        }
-
         let env = Envelope {
             src: rank,
             dest,
@@ -1460,7 +1415,6 @@ impl Cluster {
             taint_header,
             seq,
         };
-        let tainted_bytes = masks.iter().filter(|&&m| m != 0).count();
         for obs in &self.observers {
             obs.lock().on_send(&env, tainted_bytes);
         }
@@ -1534,7 +1488,7 @@ impl Cluster {
     /// Matches a mature message against `args` and copies it (data and
     /// taint) into the receiver.
     fn deliver_into(&mut self, rank: u32, args: &RecvArgs) -> Deliver {
-        let Some(env) = self.net.try_match(rank, args.source, args.tag, self.round) else {
+        let Some(mut env) = self.net.try_match(rank, args.source, args.tag, self.round) else {
             return Deliver::NoMatch;
         };
         if env.dtype != args.dtype {
@@ -1545,23 +1499,13 @@ impl Cluster {
             self.mpi_abort(rank, MpiErrorKind::Truncation);
             return Deliver::Fatal;
         }
-        let (ni, pid) = self.ranks[rank as usize];
-        if self.nodes[ni]
-            .write_guest(pid, args.buf, &env.data)
-            .is_err()
-        {
-            self.kill_rank(rank, Signal::Segv);
-            return Deliver::Fatal;
-        }
-        // Incoming data overwrites whatever taint the buffer carried...
-        let mut masks = vec![0u8; env.data.len()];
-        let mut provs = vec![ProvSet::EMPTY; env.data.len()];
-        let taint_on = self.cfg.taint_policy != TaintPolicy::Disabled;
-        // ...then the configured carrier re-applies the sender's taint.
+        // Incoming data overwrites whatever taint the buffer carried; the
+        // configured carrier re-applies the sender's.
+        let mut p = Payload::clean(std::mem::take(&mut env.data));
         match self.cfg.taint_carrier {
             TaintCarrier::Header => {
                 if let Some(header) = &env.taint_header {
-                    masks.copy_from_slice(header);
+                    p.masks.copy_from_slice(header);
                 }
             }
             TaintCarrier::Hub => {
@@ -1575,23 +1519,19 @@ impl Cluster {
                 // attempt fails, consume the record anyway (keeping the
                 // per-id sequence stream aligned for later messages) but
                 // record the lost synchronisation.
-                let mut synced = true;
-                if let Some(rng) = &mut self.hub_rng {
-                    let p = self.cfg.hub_sync.drop_prob;
-                    synced = false;
-                    for _ in 0..=self.cfg.hub_sync.max_retries {
-                        if !rng.gen_bool(p) {
-                            synced = true;
-                            break;
-                        }
-                    }
-                }
+                let HubSyncPolicy {
+                    drop_prob,
+                    max_retries,
+                    ..
+                } = self.cfg.hub_sync;
+                let synced = self
+                    .hub_rng
+                    .as_mut()
+                    .is_none_or(|rng| (0..=max_retries).any(|_| !rng.gen_bool(drop_prob)));
                 match self.hub.poll_matching(id, env.seq) {
                     Some(rec) if synced => {
-                        masks.copy_from_slice(&rec.masks);
-                        for (dst, bits) in provs.iter_mut().zip(rec.provs.iter()) {
-                            *dst = ProvSet::from_bits(*bits);
-                        }
+                        p.masks.copy_from_slice(&rec.masks);
+                        p.provs = rec.provs.iter().map(|&b| ProvSet::from_bits(b)).collect();
                     }
                     Some(rec) if rec.is_tainted() => self.taint_sync_lost += 1,
                     _ => {}
@@ -1599,36 +1539,17 @@ impl Cluster {
             }
             TaintCarrier::None => {}
         }
-        let tainted_bytes = masks.iter().filter(|&&m| m != 0).count();
-        if taint_on {
-            let _ = self.nodes[ni].write_guest_taint(pid, args.buf, &masks);
-            if provs.iter().any(|p| !p.is_empty()) || self.nodes[ni].taint().prov_any() {
-                let _ = self.nodes[ni].write_guest_prov(pid, args.buf, &provs);
-            }
-        }
-        if tainted_bytes > 0 {
-            self.cross_rank_tainted_deliveries += 1;
+        let origin = Origin::of(env.src, env.tag, env.seq, &p);
+        let mut edges = Vec::new();
+        let landed = self.land(rank, args.buf, &p, self.taint_on(), [origin], &mut edges);
+        env.data = p.data;
+        if landed.is_err() {
+            return Deliver::Fatal;
         }
         for obs in &self.observers {
-            obs.lock().on_delivered(&env, tainted_bytes);
+            obs.lock().on_delivered(&env, origin.tainted_bytes);
         }
-        if tainted_bytes > 0 {
-            let edge = CrossRankEdge {
-                src: env.src,
-                dest: rank,
-                tag: env.tag,
-                seq: env.seq,
-                round: self.round,
-                tainted_bytes,
-                prov_bits: provs
-                    .iter()
-                    .fold(ProvSet::EMPTY, |acc, p| acc.union(*p))
-                    .bits(),
-            };
-            for obs in &self.observers {
-                obs.lock().on_tainted_delivery(&edge);
-            }
-        }
+        self.fire_edges(&edges);
         Deliver::Done
     }
 
@@ -1712,278 +1633,192 @@ impl Cluster {
     }
 
     fn execute_collective(&mut self, slot: CollectiveSlot) {
-        let n = self.ranks.len() as u32;
-        let shape = slot.shape();
-        for r in 0..n {
-            self.state[r as usize].in_collective = false;
+        for st in &mut self.state {
+            st.in_collective = false;
         }
-        let elem = shape.dtype.map_or(0, MpiDatatype::size);
-        let bytes = shape.count * elem;
-        let carrier_taint = self.cfg.taint_carrier != TaintCarrier::None
-            && self.cfg.taint_policy != TaintPolicy::Disabled;
-
-        macro_rules! read_buf {
-            ($rank:expr, $addr:expr, $len:expr) => {{
-                let (ni, pid) = self.ranks[$rank as usize];
-                match self.nodes[ni].read_guest(pid, $addr, $len) {
-                    Ok(d) => d,
-                    Err(_) => {
-                        self.kill_rank($rank, Signal::Segv);
-                        self.mpi_abort($rank, MpiErrorKind::RankDied);
-                        return;
-                    }
-                }
-            }};
+        // Tainted cross-rank movements, fired to observers once the whole
+        // data movement is complete.
+        let mut edges = Vec::new();
+        if let Err(Killed(rank)) = self.move_collective_data(&slot, &mut edges) {
+            // A bad buffer inside a collective takes the whole job down.
+            return self.mpi_abort(rank, MpiErrorKind::RankDied);
         }
-        macro_rules! write_buf {
-            ($rank:expr, $addr:expr, $data:expr, $masks:expr, $provs:expr) => {{
-                let (ni, pid) = self.ranks[$rank as usize];
-                if self.nodes[ni].write_guest(pid, $addr, $data).is_err() {
-                    self.kill_rank($rank, Signal::Segv);
-                    self.mpi_abort($rank, MpiErrorKind::RankDied);
-                    return;
-                }
-                let masks: &[u8] = $masks;
-                let _ = self.nodes[ni].write_guest_taint(pid, $addr, masks);
-                let provs: &[ProvSet] = $provs;
-                if provs.iter().any(|p| !p.is_empty()) || self.nodes[ni].taint().prov_any() {
-                    let _ = self.nodes[ni].write_guest_prov(pid, $addr, provs);
-                }
-            }};
-        }
-        macro_rules! read_taint {
-            ($rank:expr, $addr:expr, $len:expr) => {{
-                let (ni, pid) = self.ranks[$rank as usize];
-                self.nodes[ni]
-                    .read_guest_taint(pid, $addr, $len)
-                    .unwrap_or_else(|_| vec![0; $len as usize])
-            }};
-        }
-        macro_rules! read_prov {
-            ($rank:expr, $addr:expr, $len:expr) => {{
-                let (ni, pid) = self.ranks[$rank as usize];
-                if self.nodes[ni].taint().prov_any() {
-                    self.nodes[ni]
-                        .read_guest_prov(pid, $addr, $len)
-                        .unwrap_or_else(|_| vec![ProvSet::EMPTY; $len as usize])
-                } else {
-                    vec![ProvSet::EMPTY; $len as usize]
-                }
-            }};
-        }
-
-        let tag = coll_tag(shape.kind);
-        let union_bits = |ps: &[ProvSet]| ps.iter().fold(ProvSet::EMPTY, |a, p| a.union(*p)).bits();
-        // Tainted cross-rank movements observed during this collective;
-        // fired to observers once the data movement is complete.
-        let mut edges: Vec<CrossRankEdge> = Vec::new();
-
-        match shape.kind {
-            CollKind::Barrier => {}
-            CollKind::Bcast => {
-                let data = read_buf!(shape.root, shape.sendbuf, bytes);
-                let masks = if carrier_taint {
-                    read_taint!(shape.root, shape.sendbuf, bytes)
-                } else {
-                    vec![0; bytes as usize]
-                };
-                let provs = if carrier_taint {
-                    read_prov!(shape.root, shape.sendbuf, bytes)
-                } else {
-                    vec![ProvSet::EMPTY; bytes as usize]
-                };
-                let tainted = masks.iter().any(|&m| m != 0);
-                let tainted_bytes = masks.iter().filter(|&&m| m != 0).count();
-                let prov_bits = union_bits(&provs);
-                for (r, req) in slot.requests() {
-                    if r != shape.root {
-                        write_buf!(r, req.sendbuf, &data, &masks, &provs);
-                        if tainted {
-                            self.cross_rank_tainted_deliveries += 1;
-                            edges.push(CrossRankEdge {
-                                src: shape.root,
-                                dest: r,
-                                tag,
-                                seq: 0,
-                                round: self.round,
-                                tainted_bytes,
-                                prov_bits,
-                            });
-                        }
-                    }
-                }
-            }
-            CollKind::Reduce | CollKind::Allreduce => {
-                let dtype = shape.dtype.expect("reduce has a datatype");
-                let op = shape.op.expect("reduce has an operator");
-                let mut acc: Vec<u8> = Vec::new();
-                let mut acc_masks = vec![0u8; bytes as usize];
-                let mut acc_provs = vec![ProvSet::EMPTY; bytes as usize];
-                let mut contributions: Vec<Vec<u8>> = Vec::new();
-                let mut tainted_ranks: Vec<u32> = Vec::new();
-                // Per contributing rank: tainted byte count + provenance
-                // union, for the edge records.
-                let mut taint_srcs: Vec<(u32, usize, u32)> = Vec::new();
-                for (r, req) in slot.requests() {
-                    let data = read_buf!(r, req.sendbuf, bytes);
-                    if carrier_taint {
-                        let masks = read_taint!(r, req.sendbuf, bytes);
-                        let provs = read_prov!(r, req.sendbuf, bytes);
-                        let tainted_bytes = masks.iter().filter(|&&m| m != 0).count();
-                        if tainted_bytes > 0 {
-                            tainted_ranks.push(r);
-                            taint_srcs.push((r, tainted_bytes, union_bits(&provs)));
-                        }
-                        for (m, a) in masks.iter().zip(acc_masks.iter_mut()) {
-                            *a |= m;
-                        }
-                        for (p, a) in provs.iter().zip(acc_provs.iter_mut()) {
-                            *a = a.union(*p);
-                        }
-                    }
-                    if acc.is_empty() {
-                        acc = data;
-                    } else {
-                        contributions.push(data);
-                    }
-                }
-                for data in &contributions {
-                    reduce_into(&mut acc, data, dtype, op);
-                }
-                if shape.kind == CollKind::Reduce {
-                    let root_req = slot
-                        .requests()
-                        .find(|(r, _)| *r == shape.root)
-                        .map(|(_, req)| *req)
-                        .expect("root joined");
-                    write_buf!(shape.root, root_req.recvbuf, &acc, &acc_masks, &acc_provs);
-                    if tainted_ranks.iter().any(|&t| t != shape.root) {
-                        self.cross_rank_tainted_deliveries += 1;
-                    }
-                    for &(t, tainted_bytes, prov_bits) in &taint_srcs {
-                        if t != shape.root {
-                            edges.push(CrossRankEdge {
-                                src: t,
-                                dest: shape.root,
-                                tag,
-                                seq: 0,
-                                round: self.round,
-                                tainted_bytes,
-                                prov_bits,
-                            });
-                        }
-                    }
-                } else {
-                    for (r, req) in slot.requests() {
-                        write_buf!(r, req.recvbuf, &acc, &acc_masks, &acc_provs);
-                        if tainted_ranks.iter().any(|&t| t != r) {
-                            self.cross_rank_tainted_deliveries += 1;
-                        }
-                        for &(t, tainted_bytes, prov_bits) in &taint_srcs {
-                            if t != r {
-                                edges.push(CrossRankEdge {
-                                    src: t,
-                                    dest: r,
-                                    tag,
-                                    seq: 0,
-                                    round: self.round,
-                                    tainted_bytes,
-                                    prov_bits,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            CollKind::Scatter => {
-                let total = bytes * n as u64;
-                let data = read_buf!(shape.root, shape.sendbuf, total);
-                let masks = if carrier_taint {
-                    read_taint!(shape.root, shape.sendbuf, total)
-                } else {
-                    vec![0; total as usize]
-                };
-                let provs = if carrier_taint {
-                    read_prov!(shape.root, shape.sendbuf, total)
-                } else {
-                    vec![ProvSet::EMPTY; total as usize]
-                };
-                for (r, req) in slot.requests() {
-                    let off = (r as u64 * bytes) as usize;
-                    let chunk_masks = &masks[off..off + bytes as usize];
-                    let chunk_provs = &provs[off..off + bytes as usize];
-                    let tainted = chunk_masks.iter().any(|&m| m != 0);
-                    write_buf!(
-                        r,
-                        req.recvbuf,
-                        &data[off..off + bytes as usize],
-                        chunk_masks,
-                        chunk_provs
-                    );
-                    if tainted && r != shape.root {
-                        self.cross_rank_tainted_deliveries += 1;
-                        edges.push(CrossRankEdge {
-                            src: shape.root,
-                            dest: r,
-                            tag,
-                            seq: 0,
-                            round: self.round,
-                            tainted_bytes: chunk_masks.iter().filter(|&&m| m != 0).count(),
-                            prov_bits: union_bits(chunk_provs),
-                        });
-                    }
-                }
-            }
-            CollKind::Gather => {
-                let root_req = slot
-                    .requests()
-                    .find(|(r, _)| *r == shape.root)
-                    .map(|(_, req)| *req)
-                    .expect("root joined");
-                for (r, req) in slot.requests() {
-                    let data = read_buf!(r, req.sendbuf, bytes);
-                    let masks = if carrier_taint {
-                        read_taint!(r, req.sendbuf, bytes)
-                    } else {
-                        vec![0; bytes as usize]
-                    };
-                    let provs = if carrier_taint {
-                        read_prov!(r, req.sendbuf, bytes)
-                    } else {
-                        vec![ProvSet::EMPTY; bytes as usize]
-                    };
-                    let dst = root_req.recvbuf + r as u64 * bytes;
-                    let tainted = masks.iter().any(|&m| m != 0);
-                    write_buf!(shape.root, dst, &data, &masks, &provs);
-                    if tainted && r != shape.root {
-                        self.cross_rank_tainted_deliveries += 1;
-                        edges.push(CrossRankEdge {
-                            src: r,
-                            dest: shape.root,
-                            tag,
-                            seq: 0,
-                            round: self.round,
-                            tainted_bytes: masks.iter().filter(|&&m| m != 0).count(),
-                            prov_bits: union_bits(&provs),
-                        });
-                    }
-                }
-            }
-        }
-
-        for edge in edges {
-            for obs in &self.observers {
-                obs.lock().on_tainted_delivery(&edge);
-            }
-        }
-
+        self.fire_edges(&edges);
         for (r, _) in slot.requests() {
             if self.rank_alive(r) {
                 self.complete(r, 0);
             }
         }
     }
+
+    /// Moves a completed collective's payloads. Collectives carry taint
+    /// under any carrier but `None` and always rewrite the destination
+    /// shadow; a landing counts the contributors other than its receiver.
+    fn move_collective_data(
+        &mut self,
+        slot: &CollectiveSlot,
+        edges: &mut Vec<CrossRankEdge>,
+    ) -> Result<(), Killed> {
+        let shape = slot.shape();
+        let (root, n) = (shape.root, self.ranks.len() as u64);
+        let bytes = shape.count * shape.dtype.map_or(0, MpiDatatype::size);
+        let carry = self.cfg.taint_carrier != TaintCarrier::None && self.taint_on();
+        let origin = |src: u32, p: &Payload| Origin::of(src, coll_tag(shape.kind), 0, p);
+        match shape.kind {
+            CollKind::Barrier => {}
+            CollKind::Bcast => {
+                let p = self.read_from(root, shape.sendbuf, bytes, carry)?;
+                let from_root = origin(root, &p);
+                for (r, req) in slot.requests() {
+                    if r != root {
+                        self.land(r, req.sendbuf, &p, true, [from_root], edges)?;
+                    }
+                }
+            }
+            CollKind::Reduce | CollKind::Allreduce => {
+                let dtype = shape.dtype.expect("reduce has a datatype");
+                let op = shape.op.expect("reduce has an operator");
+                let mut acc: Option<Payload> = None;
+                let mut origins = Vec::new();
+                for (r, req) in slot.requests() {
+                    let p = self.read_from(r, req.sendbuf, bytes, carry)?;
+                    origins.push(origin(r, &p));
+                    match &mut acc {
+                        None => acc = Some(p),
+                        Some(acc) => reduce_into(acc, &p, dtype, op),
+                    }
+                }
+                let acc = acc.expect("every rank joined");
+                for (r, req) in slot.requests() {
+                    if shape.kind == CollKind::Allreduce || r == root {
+                        let others = origins.iter().copied().filter(|o| o.src != r);
+                        self.land(r, req.recvbuf, &acc, true, others, edges)?;
+                    }
+                }
+            }
+            CollKind::Scatter => {
+                let all = self.read_from(root, shape.sendbuf, bytes * n, carry)?;
+                for (r, req) in slot.requests() {
+                    let off = (u64::from(r) * bytes) as usize;
+                    let chunk = all.slice(off..off + bytes as usize);
+                    let from_root = (r != root).then(|| origin(root, &chunk));
+                    self.land(r, req.recvbuf, &chunk, true, from_root, edges)?;
+                }
+            }
+            CollKind::Gather => {
+                let dst = slot
+                    .requests()
+                    .find(|(r, _)| *r == root)
+                    .map(|(_, req)| req.recvbuf)
+                    .expect("root joined");
+                for (r, req) in slot.requests() {
+                    let p = self.read_from(r, req.sendbuf, bytes, carry)?;
+                    let from_r = (r != root).then(|| origin(r, &p));
+                    self.land(root, dst + u64::from(r) * bytes, &p, true, from_r, edges)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    // ---- Tainted payload path ----
+
+    fn taint_on(&self) -> bool {
+        self.cfg.taint_policy != TaintPolicy::Disabled
+    }
+
+    /// Reads the `len`-byte buffer at `addr` of `rank`, with its taint when
+    /// `shadow` (see [`Node::read_guest`]). A corrupted buffer pointer
+    /// faults inside the "MPI library": the rank dies with an OS exception,
+    /// exactly like real MPI.
+    fn read_from(
+        &mut self,
+        rank: u32,
+        addr: u64,
+        len: u64,
+        shadow: bool,
+    ) -> Result<Payload, Killed> {
+        let (ni, pid) = self.ranks[rank as usize];
+        let read = self.nodes[ni].read_guest(pid, addr, len, shadow);
+        read.map_err(|_| self.segv(rank))
+    }
+
+    /// Lands `p` at `addr` of `rank` (its shadow too when `shadow`). When
+    /// any of `origins` carried taint across, counts one tainted delivery
+    /// and queues one edge per tainted origin, in order.
+    fn land(
+        &mut self,
+        rank: u32,
+        addr: u64,
+        p: &Payload,
+        shadow: bool,
+        origins: impl IntoIterator<Item = Origin>,
+        edges: &mut Vec<CrossRankEdge>,
+    ) -> Result<(), Killed> {
+        let (ni, pid) = self.ranks[rank as usize];
+        if self.nodes[ni].write_guest(pid, addr, p, shadow).is_err() {
+            return Err(self.segv(rank));
+        }
+        let before = edges.len();
+        edges.extend(
+            origins
+                .into_iter()
+                .filter(|o| o.tainted_bytes > 0)
+                .map(|o| CrossRankEdge {
+                    src: o.src,
+                    dest: rank,
+                    tag: o.tag,
+                    seq: o.seq,
+                    round: self.round,
+                    tainted_bytes: o.tainted_bytes,
+                    prov_bits: o.prov_bits,
+                }),
+        );
+        if edges.len() > before {
+            self.cross_rank_tainted_deliveries += 1;
+        }
+        Ok(())
+    }
+
+    fn segv(&mut self, rank: u32) -> Killed {
+        self.kill_rank(rank, Signal::Segv);
+        Killed(rank)
+    }
+
+    fn fire_edges(&self, edges: &[CrossRankEdge]) {
+        for edge in edges {
+            for obs in &self.observers {
+                obs.lock().on_tainted_delivery(edge);
+            }
+        }
+    }
 }
+
+/// The taint one sending rank put into a landed payload: the makings of
+/// the [`CrossRankEdge`] its landing records.
+#[derive(Debug, Clone, Copy)]
+struct Origin {
+    src: u32,
+    tag: u64,
+    seq: u64,
+    tainted_bytes: usize,
+    prov_bits: u32,
+}
+
+impl Origin {
+    fn of(src: u32, tag: u64, seq: u64, p: &Payload) -> Origin {
+        Origin {
+            src,
+            tag,
+            seq,
+            tainted_bytes: p.tainted_bytes(),
+            prov_bits: p.prov_union().bits(),
+        }
+    }
+}
+
+/// A guest-buffer fault inside the MPI runtime killed this rank (SIGSEGV).
+struct Killed(u32);
 
 /// Compute-phase worker body: advances every runnable rank of one node by
 /// one quantum, in ascending rank order. Pure node-local work — anything
@@ -2020,14 +1855,24 @@ fn coll_tag(kind: CollKind) -> u64 {
         }
 }
 
-/// Elementwise reduction of `src` into `acc`.
-fn reduce_into(acc: &mut [u8], src: &[u8], dtype: MpiDatatype, op: MpiOp) {
-    debug_assert_eq!(acc.len(), src.len());
-    let n = acc.len() / 8;
+/// Elementwise reduction of `src` into `acc`; the result's bytes carry the
+/// union of both sides' taint and provenance.
+fn reduce_into(acc: &mut Payload, src: &Payload, dtype: MpiDatatype, op: MpiOp) {
+    debug_assert_eq!(acc.data.len(), src.data.len());
+    for (a, m) in acc.masks.iter_mut().zip(&src.masks) {
+        *a |= m;
+    }
+    if !src.provs.is_empty() {
+        acc.provs.resize(src.provs.len(), ProvSet::EMPTY);
+        for (a, p) in acc.provs.iter_mut().zip(&src.provs) {
+            *a = a.union(*p);
+        }
+    }
+    let n = acc.data.len() / 8;
     for i in 0..n {
         let range = i * 8..(i + 1) * 8;
-        let a = u64::from_le_bytes(acc[range.clone()].try_into().expect("8 bytes"));
-        let b = u64::from_le_bytes(src[range.clone()].try_into().expect("8 bytes"));
+        let a = u64::from_le_bytes(acc.data[range.clone()].try_into().expect("8 bytes"));
+        let b = u64::from_le_bytes(src.data[range.clone()].try_into().expect("8 bytes"));
         let out = match dtype {
             MpiDatatype::F64 => {
                 let (fa, fb) = (f64::from_bits(a), f64::from_bits(b));
@@ -2051,7 +1896,7 @@ fn reduce_into(acc: &mut [u8], src: &[u8], dtype: MpiDatatype, op: MpiOp) {
             }
             MpiDatatype::Byte => unreachable!("byte reduce rejected at validation"),
         };
-        acc[range].copy_from_slice(&out.to_le_bytes());
+        acc.data[range].copy_from_slice(&out.to_le_bytes());
     }
 }
 
@@ -2114,33 +1959,44 @@ impl ClusterSnapshot {
     }
 }
 
-/// 64-bit FNV-1a accumulator for state digests. A local copy: the journal
-/// hasher lives in `chaser-core`, which depends on this crate.
-struct Fnv1a(u64);
+/// 64-bit FNV-1a over a byte stream: the stable, dependency-free hash
+/// behind cluster state digests and the campaign journal's fingerprints.
+#[derive(Debug, Clone)]
+pub struct Fnv1a(u64);
 
-impl Fnv1a {
-    fn new() -> Fnv1a {
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
         Fnv1a(0xcbf2_9ce4_8422_2325)
     }
+}
 
-    fn write_bytes(&mut self, bytes: &[u8]) {
+impl Fnv1a {
+    /// A fresh hasher at the FNV offset basis.
+    pub fn new() -> Fnv1a {
+        Fnv1a::default()
+    }
+
+    /// Absorbs `bytes`.
+    pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x100_0000_01b3);
         }
     }
 
-    fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
+    /// Absorbs `v` as 8 little-endian bytes.
+    pub fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
     }
 
-    /// Writes a string with a terminator so adjacent fields can't alias.
-    fn write_str(&mut self, s: &str) {
-        self.write_bytes(s.as_bytes());
-        self.write_bytes(&[0xff]);
+    /// Absorbs `s` plus a terminator, so adjacent fields can't alias.
+    pub fn write_str(&mut self, s: &str) {
+        self.write(s.as_bytes());
+        self.write(&[0xff]);
     }
 
-    fn finish(&self) -> u64 {
+    /// The 64-bit digest.
+    pub fn finish(&self) -> u64 {
         self.0
     }
 }

@@ -37,8 +37,8 @@ mod envelope;
 mod net;
 
 pub use cluster::{
-    BudgetKind, Cluster, ClusterConfig, ClusterRun, ClusterSnapshot, CrossRankEdge, HangRank,
-    HubSyncPolicy, MpiObserver, ParallelStats, PendingOp, RoundReport, RunBudget,
+    BudgetKind, Cluster, ClusterConfig, ClusterRun, ClusterSnapshot, CrossRankEdge, Fnv1a,
+    HangRank, HubSyncPolicy, MpiObserver, ParallelStats, PendingOp, RoundReport, RunBudget,
     SharedMpiObserver,
 };
 pub use collective::{CollKind, CollReq, CollectiveSlot};

@@ -26,6 +26,16 @@ impl Stream {
             Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
         })
     }
+
+    /// Shuts down the socket (not just this handle): a read blocked on
+    /// a shut read half returns EOF, and the peer sees EOF once the write
+    /// half is shut.
+    pub(crate) fn shutdown(&self, how: std::net::Shutdown) -> io::Result<()> {
+        match self {
+            Stream::Unix(s) => s.shutdown(how),
+            Stream::Tcp(s) => s.shutdown(how),
+        }
+    }
 }
 
 impl Read for Stream {

@@ -30,6 +30,7 @@ use crate::spec::CampaignSpec;
 use chaser::{shard_journal_path, ShardError, ShardPlan, ShardWorkers, StopSignal};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufReader, Read, Seek, SeekFrom};
+use std::net::Shutdown;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -303,7 +304,11 @@ fn recover_state(shared: &Arc<Shared>) -> Result<(), ServeError> {
 }
 
 fn accept_loop(shared: &Arc<Shared>, listener: &Listener) -> Vec<JoinHandle<()>> {
-    let mut handlers = Vec::new();
+    // Every live handler with a second handle on its socket, so the drain
+    // can end reads of clients that went silent. The handler shuts its
+    // socket down when it finishes, so this handle never keeps a finished
+    // connection open.
+    let mut conns: Vec<(JoinHandle<()>, Option<Stream>)> = Vec::new();
     loop {
         let stream = match listener.accept() {
             Ok(stream) => stream,
@@ -312,10 +317,26 @@ fn accept_loop(shared: &Arc<Shared>, listener: &Listener) -> Vec<JoinHandle<()>>
         if shared.inner.lock().unwrap().shutdown {
             break;
         }
+        conns.retain(|(h, _)| !h.is_finished());
+        let peer = stream.try_clone().ok();
         let shared = Arc::clone(shared);
-        handlers.push(std::thread::spawn(move || handle_conn(&shared, stream)));
+        conns.push((
+            std::thread::spawn(move || handle_conn(&shared, stream)),
+            peer,
+        ));
     }
-    handlers
+    // An idle client would otherwise keep its handler blocked in a read,
+    // and `Daemon::wait` with it, until the client hangs up. Shutting the
+    // read side ends that read; replies already written still arrive.
+    conns
+        .into_iter()
+        .map(|(handler, peer)| {
+            if let Some(peer) = peer {
+                let _ = peer.shutdown(Shutdown::Read);
+            }
+            handler
+        })
+        .collect()
 }
 
 fn handle_conn(shared: &Arc<Shared>, stream: Stream) {
@@ -350,6 +371,7 @@ fn handle_conn(shared: &Arc<Shared>, stream: Stream) {
             break;
         }
     }
+    let _ = writer.shutdown(Shutdown::Both);
 }
 
 /// Admission control: validates the spec, enforces the drain gate, the

@@ -137,21 +137,6 @@ impl Default for CampaignSpec {
     }
 }
 
-fn chaos_kind_name(kind: ChaosKind) -> &'static str {
-    match kind {
-        ChaosKind::Kill => "kill",
-        ChaosKind::Stall => "stall",
-    }
-}
-
-fn chaos_kind_from_name(s: &str) -> Option<ChaosKind> {
-    match s {
-        "kill" => Some(ChaosKind::Kill),
-        "stall" => Some(ChaosKind::Stall),
-        _ => None,
-    }
-}
-
 // Field readers with spec-shaped errors: absent fields keep the default,
 // wrong-typed fields are named in the rejection.
 fn get_u64(v: &Json, key: &str, default: u64) -> Result<u64, SpecError> {
@@ -272,10 +257,7 @@ impl CampaignSpec {
                                 ("shard".to_string(), Json::Num(c.shard.into())),
                                 ("after_rows".to_string(), Json::Num(c.after_rows.into())),
                                 ("attempts".to_string(), Json::Num(c.attempts.into())),
-                                (
-                                    "kind".to_string(),
-                                    Json::Str(chaos_kind_name(c.kind).to_string()),
-                                ),
+                                ("kind".to_string(), Json::Str(c.kind.name().to_string())),
                             ])
                         })
                         .collect(),
@@ -326,7 +308,7 @@ impl CampaignSpec {
                         after_rows: get_u64(item, "after_rows", 0)?,
                         attempts: u32::try_from(get_u64(item, "attempts", 1)?)
                             .map_err(|_| SpecError::new("chaos.attempts", "out of u32 range"))?,
-                        kind: chaos_kind_from_name(kind).ok_or_else(|| {
+                        kind: ChaosKind::from_name(kind).ok_or_else(|| {
                             SpecError::new("chaos.kind", format!("unknown kind `{kind}`"))
                         })?,
                     });

@@ -66,7 +66,7 @@ pub use hooks::{
 };
 pub use kernel::{ExitStatus, Signal};
 pub use mem::{MemFault, MemFaultKind, MemSnapshot, MemStats, PhysMemory, DEFAULT_PHYS_BYTES};
-pub use node::{Node, NodeSnapshot, SliceExit, SpawnError};
+pub use node::{Node, NodeSnapshot, Payload, SliceExit, SpawnError};
 pub use paging::{AddressSpace, PagePerms};
 pub use process::{MpiRequest, ProcState, Process, ProcessFiles};
 pub use vmi::{VmiAction, VmiSink};

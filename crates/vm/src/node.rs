@@ -9,9 +9,10 @@ use crate::paging::{AddressSpace, PagePerms};
 use crate::process::{MpiRequest, ProcState, Process};
 use crate::vmi::VmiAction;
 use chaser_isa::{CpuState, Program, CODE_BASE, DATA_BASE, PAGE_SIZE, STACK_SIZE, STACK_TOP};
-use chaser_taint::{TaintPolicy, TaintState};
+use chaser_taint::{ProvSet, TaintPolicy, TaintState};
 use chaser_tcg::{BaseLayer, CacheStats, TbCache};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Why [`Node::run_slice`] returned.
@@ -268,97 +269,83 @@ impl Node {
         }
     }
 
-    /// Reads guest memory of a (possibly blocked) process.
+    /// Reads the `len`-byte buffer at `vaddr` of a (possibly blocked)
+    /// process in one walk over its guest pages. With `shadow`, every
+    /// physical run also yields its taint masks, and its provenance while
+    /// the node tracks any; without, the masks come back clean.
     ///
     /// # Errors
     ///
     /// Propagates the guest [`MemFault`] on bad addresses — the MPI runtime
-    /// turns this into an MPI error.
-    pub fn read_guest(&self, pid: u64, vaddr: u64, len: u64) -> Result<Vec<u8>, MemFault> {
-        let proc = self.process(pid).expect("unknown pid");
-        proc.aspace.read_bytes(&self.phys, vaddr, len)
-    }
-
-    /// Writes guest memory of a process.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the guest [`MemFault`] on bad addresses.
-    pub fn write_guest(&mut self, pid: u64, vaddr: u64, data: &[u8]) -> Result<(), MemFault> {
-        let idx = self.index(pid).expect("unknown pid");
-        let proc = &self.procs[idx];
-        proc.aspace.write_bytes(&mut self.phys, vaddr, data)
-    }
-
-    /// Reads the per-byte taint shadow of a guest buffer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the guest [`MemFault`] on bad addresses.
-    pub fn read_guest_taint(&self, pid: u64, vaddr: u64, len: u64) -> Result<Vec<u8>, MemFault> {
-        let proc = self.process(pid).expect("unknown pid");
-        let mut out = vec![0u8; len as usize];
-        guest_page_runs(&proc.aspace, vaddr, out.len(), |paddr, run| {
-            self.taint.mem().read_masks(paddr, &mut out[run]);
-        })?;
-        Ok(out)
-    }
-
-    /// Writes the per-byte taint shadow of a guest buffer (applying an
-    /// incoming message's taint on the receiver).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the guest [`MemFault`] on bad addresses.
-    pub fn write_guest_taint(
-        &mut self,
-        pid: u64,
-        vaddr: u64,
-        masks: &[u8],
-    ) -> Result<(), MemFault> {
-        let idx = self.index(pid).expect("unknown pid");
-        let taint = &mut self.taint;
-        guest_page_runs(&self.procs[idx].aspace, vaddr, masks.len(), |paddr, run| {
-            taint.mem_mut().write_masks(paddr, &masks[run]);
-        })
-    }
-
-    /// Reads the per-byte fault provenance of a guest buffer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the guest [`MemFault`] on bad addresses.
-    pub fn read_guest_prov(
+    /// turns this into a SIGSEGV.
+    pub fn read_guest(
         &self,
         pid: u64,
         vaddr: u64,
         len: u64,
-    ) -> Result<Vec<chaser_taint::ProvSet>, MemFault> {
+        shadow: bool,
+    ) -> Result<Payload, MemFault> {
         let proc = self.process(pid).expect("unknown pid");
-        let mut out = vec![chaser_taint::ProvSet::EMPTY; len as usize];
-        guest_page_runs(&proc.aspace, vaddr, out.len(), |paddr, run| {
-            self.taint.read_provs(paddr, &mut out[run]);
+        let provs = shadow && self.taint.prov_any();
+        // `len` may be a corrupted guest value: grow the buffers as far as
+        // the walk gets, never pre-allocate it on the host.
+        let mut p = Payload::default();
+        proc.aspace.page_runs(vaddr, len, false, |paddr, run| {
+            p.data
+                .extend_from_slice(self.phys.read_bytes(paddr, run.len()));
+            p.masks.resize(run.end, 0);
+            if shadow {
+                self.taint
+                    .mem()
+                    .read_masks(paddr, &mut p.masks[run.clone()]);
+            }
+            if provs {
+                p.provs.resize(run.end, ProvSet::EMPTY);
+                self.taint.read_provs(paddr, &mut p.provs[run]);
+            }
         })?;
-        Ok(out)
+        Ok(p)
     }
 
-    /// Writes the per-byte fault provenance of a guest buffer (applying an
-    /// incoming message's provenance on the receiver).
+    /// Writes `p` at `vaddr` of a process in one walk over its guest pages.
+    /// With `shadow`, every physical run also takes the payload's masks,
+    /// and its provenance unless neither the payload nor the node carries
+    /// any. A fault part-way stores the bytes before it but no shadow.
     ///
     /// # Errors
     ///
     /// Propagates the guest [`MemFault`] on bad addresses.
-    pub fn write_guest_prov(
+    pub fn write_guest(
         &mut self,
         pid: u64,
         vaddr: u64,
-        provs: &[chaser_taint::ProvSet],
+        p: &Payload,
+        shadow: bool,
     ) -> Result<(), MemFault> {
+        static NO_PROV: [ProvSet; PAGE_SIZE as usize] = [ProvSet::EMPTY; PAGE_SIZE as usize];
         let idx = self.index(pid).expect("unknown pid");
-        let taint = &mut self.taint;
-        guest_page_runs(&self.procs[idx].aspace, vaddr, provs.len(), |paddr, run| {
-            taint.write_provs(paddr, &provs[run]);
-        })
+        let mut runs = Vec::new();
+        let walk =
+            self.procs[idx]
+                .aspace
+                .page_runs(vaddr, p.data.len() as u64, true, |paddr, run| {
+                    runs.push((paddr, run))
+                });
+        let shadow = shadow && walk.is_ok();
+        for (paddr, run) in runs {
+            self.phys.write_bytes(paddr, &p.data[run.clone()]);
+            if shadow {
+                self.taint
+                    .mem_mut()
+                    .write_masks(paddr, &p.masks[run.clone()]);
+                if !p.provs.is_empty() {
+                    self.taint.write_provs(paddr, &p.provs[run]);
+                } else if self.taint.prov_any() {
+                    self.taint.write_provs(paddr, &NO_PROV[..run.len()]);
+                }
+            }
+        }
+        walk
     }
 
     /// The node's taint state.
@@ -504,42 +491,61 @@ impl NodeSnapshot {
     }
 }
 
-/// Writes bytes through read translation only — the kernel loader may write
-/// into read-only/executable mappings.
-fn poke(aspace: &AddressSpace, phys: &mut PhysMemory, vaddr: u64, data: &[u8]) {
-    let mut cur = vaddr;
-    let mut off = 0usize;
-    while off < data.len() {
-        let paddr = aspace
-            .translate_read(cur)
-            .expect("loader writes mapped pages");
-        let in_page = ((PAGE_SIZE - cur % PAGE_SIZE) as usize).min(data.len() - off);
-        phys.write_bytes(paddr, &data[off..off + in_page]);
-        cur += in_page as u64;
-        off += in_page;
+/// A guest buffer in flight between ranks: its bytes together with, byte
+/// for byte, their taint masks and fault provenance. `masks` is always as
+/// long as `data` (all clean when no shadow was read); `provs` is either
+/// empty (no provenance) or as long as `data`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Payload {
+    /// The bytes.
+    pub data: Vec<u8>,
+    /// Per-byte taint masks.
+    pub masks: Vec<u8>,
+    /// Per-byte fault provenance, or empty for none.
+    pub provs: Vec<ProvSet>,
+}
+
+impl Payload {
+    /// `data` with clean masks and no provenance.
+    pub fn clean(data: Vec<u8>) -> Payload {
+        Payload {
+            masks: vec![0; data.len()],
+            data,
+            provs: Vec::new(),
+        }
+    }
+
+    /// Number of tainted bytes.
+    pub fn tainted_bytes(&self) -> usize {
+        self.masks.iter().filter(|&&m| m != 0).count()
+    }
+
+    /// Union of the per-byte provenance.
+    pub fn prov_union(&self) -> ProvSet {
+        self.provs.iter().fold(ProvSet::EMPTY, |a, &p| a.union(p))
+    }
+
+    /// The bytes at `range`, with their shadow.
+    pub fn slice(&self, range: Range<usize>) -> Payload {
+        Payload {
+            data: self.data[range.clone()].to_vec(),
+            masks: self.masks[range.clone()].to_vec(),
+            provs: self
+                .provs
+                .get(range)
+                .map_or_else(Vec::new, <[ProvSet]>::to_vec),
+        }
     }
 }
 
-/// Splits the `len`-byte guest buffer at `vaddr` at guest page boundaries
-/// and calls `f(paddr, run)` once per page, with the physical address of
-/// the run's first byte and the run's index range in the buffer: one
-/// translation per page instead of per byte. A page that does not
-/// translate for reading stops the walk with its fault; runs before it have
-/// already been handed to `f`, as a byte-wise walk would have.
-fn guest_page_runs(
-    aspace: &AddressSpace,
-    vaddr: u64,
-    len: usize,
-    mut f: impl FnMut(u64, std::ops::Range<usize>),
-) -> Result<(), MemFault> {
-    let mut done = 0;
-    while done < len {
-        let va = vaddr + done as u64;
-        let n = ((PAGE_SIZE - va % PAGE_SIZE) as usize).min(len - done);
-        f(aspace.translate_read(va)?, done..done + n);
-        done += n;
-    }
-    Ok(())
+/// Writes bytes through read translation only — the kernel loader may write
+/// into read-only/executable mappings.
+fn poke(aspace: &AddressSpace, phys: &mut PhysMemory, vaddr: u64, data: &[u8]) {
+    aspace
+        .page_runs(vaddr, data.len() as u64, false, |paddr, run| {
+            phys.write_bytes(paddr, &data[run]);
+        })
+        .expect("loader writes mapped pages");
 }
 
 #[cfg(test)]
@@ -804,19 +810,70 @@ mod tests {
         let mut node = Node::new(0);
         let pid = node.spawn(&prog).expect("spawn");
         assert!(matches!(node.run_slice(pid, 100), SliceExit::MpiCall(_)));
-        node.write_guest(pid, buf_addr, &[1, 2, 3, 4])
-            .expect("write");
+        let p = Payload {
+            data: vec![1, 2, 3, 4],
+            masks: vec![0xff, 0, 0xff, 0],
+            provs: Vec::new(),
+        };
+        node.write_guest(pid, buf_addr, &p, true).expect("write");
+        assert_eq!(node.read_guest(pid, buf_addr, 4, true).expect("read"), p);
         assert_eq!(
-            node.read_guest(pid, buf_addr, 4).expect("read"),
-            vec![1, 2, 3, 4]
-        );
-        node.write_guest_taint(pid, buf_addr, &[0xff, 0, 0xff, 0])
-            .expect("taint");
-        assert_eq!(
-            node.read_guest_taint(pid, buf_addr, 4).expect("read taint"),
-            vec![0xff, 0, 0xff, 0]
+            node.read_guest(pid, buf_addr, 4, false).expect("read"),
+            Payload::clean(p.data.clone()),
+            "without the shadow the masks come back clean"
         );
         assert_eq!(node.taint().mem().tainted_bytes(), 2);
+    }
+
+    /// A parked process whose stack ends at `STACK_TOP`, for buffer tests.
+    fn parked() -> (Node, u64) {
+        let mut a = Asm::new("park");
+        a.hypercall(chaser_isa::abi::MPI_BARRIER);
+        a.exit(0);
+        let mut node = Node::new(0);
+        let pid = node.spawn(&a.assemble().expect("assemble")).expect("spawn");
+        assert!(matches!(node.run_slice(pid, 100), SliceExit::MpiCall(_)));
+        (node, pid)
+    }
+
+    #[test]
+    fn guest_buffers_move_shadow_across_page_boundaries() {
+        let (mut node, pid) = parked();
+        let at = STACK_TOP - PAGE_SIZE - 3;
+        let p = Payload {
+            data: (1..=6).collect(),
+            masks: vec![0, 0xff, 0, 0x0f, 0, 0xf0],
+            provs: [0, 1, 0, 2, 0, 4].map(ProvSet::from_bits).to_vec(),
+        };
+        node.write_guest(pid, at, &p, true).expect("write");
+        assert_eq!(node.read_guest(pid, at, 6, true).expect("read"), p);
+        assert_eq!(node.taint().mem().tainted_bytes(), 3);
+
+        // Clean bytes without provenance clear both aspects of the shadow
+        // while the node tracks provenance.
+        let clean = Payload::clean(vec![9; 6]);
+        node.write_guest(pid, at, &clean, true).expect("write");
+        let back = node.read_guest(pid, at, 6, true).expect("read");
+        assert_eq!(back.masks, clean.masks);
+        assert_eq!(back.provs, vec![ProvSet::EMPTY; 6]);
+        assert_eq!(node.taint().mem().tainted_bytes(), 0);
+    }
+
+    #[test]
+    fn faulting_write_stores_leading_bytes_but_no_shadow() {
+        let (mut node, pid) = parked();
+        let at = STACK_TOP - 4;
+        let p = Payload {
+            data: vec![7; 8],
+            masks: vec![0xff; 8],
+            provs: Vec::new(),
+        };
+        assert!(node.write_guest(pid, at, &p, true).is_err());
+        assert!(node.read_guest(pid, at, 8, true).is_err());
+        let head = node.read_guest(pid, at, 4, true).expect("mapped head");
+        assert_eq!(head, Payload::clean(vec![7; 4]));
+        assert_eq!(node.taint().mem().tainted_bytes(), 0);
+        assert!(node.read_guest(pid, u64::MAX - 2, 8, true).is_err());
     }
 }
 
@@ -1141,7 +1198,9 @@ mod more_engine_tests {
         assert!(before.fast_path_insns >= 1);
         assert_eq!(before.slow_path_insns, 0);
 
-        node.write_guest_taint(pid, buf, &[0xff]).expect("taint");
+        let mut p = node.read_guest(pid, buf, 1, true).expect("read");
+        p.masks[0] = 0xff;
+        node.write_guest(pid, buf, &p, true).expect("taint");
         node.complete_mpi(pid, 0);
         let status = loop {
             match node.run_slice(pid, 100) {

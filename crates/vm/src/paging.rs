@@ -3,6 +3,7 @@
 use crate::mem::{MemFault, MemFaultKind, PhysMemory};
 use chaser_isa::PAGE_SIZE;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Page permissions.
@@ -242,36 +243,36 @@ impl AddressSpace {
         // syscall argument): never pre-allocate it on the host. An absurd
         // length walks into unmapped territory and faults like real
         // hardware would, growing the buffer only as far as it got.
-        let mut out = Vec::with_capacity(len.min(64 * 1024) as usize);
-        let mut cur = vaddr;
+        let mut out = Vec::new();
+        self.page_runs(vaddr, len, false, |paddr, run| {
+            out.extend_from_slice(phys.read_bytes(paddr, run.len()));
+        })?;
+        Ok(out)
+    }
+
+    /// Splits the `len`-byte guest buffer at `vaddr` at page boundaries
+    /// and calls `f(paddr, run)` once per page, with the physical address
+    /// of the run's first byte and the run's index range in the buffer:
+    /// one translation (for a write when `write`) per page. A page that
+    /// does not translate stops the walk with its fault; runs before it
+    /// have already been handed to `f`.
+    pub fn page_runs(
+        &self,
+        vaddr: u64,
+        len: u64,
+        write: bool,
+        mut f: impl FnMut(u64, Range<usize>),
+    ) -> Result<(), MemFault> {
         let end = vaddr.checked_add(len).ok_or(MemFault {
             vaddr,
             kind: MemFaultKind::Unmapped,
         })?;
-        while cur < end {
-            let p = self.translate_read(cur)?;
-            let in_page = (PAGE_SIZE - cur % PAGE_SIZE).min(end - cur);
-            out.extend_from_slice(phys.read_bytes(p, in_page as usize));
-            cur += in_page;
-        }
-        Ok(out)
-    }
-
-    /// Writes guest bytes.
-    pub fn write_bytes(
-        &self,
-        phys: &mut PhysMemory,
-        vaddr: u64,
-        data: &[u8],
-    ) -> Result<(), MemFault> {
-        let mut cur = vaddr;
-        let mut off = 0usize;
-        while off < data.len() {
-            let p = self.translate_write(cur)?;
-            let in_page = ((PAGE_SIZE - cur % PAGE_SIZE) as usize).min(data.len() - off);
-            phys.write_bytes(p, &data[off..off + in_page]);
-            cur += in_page as u64;
-            off += in_page;
+        let mut va = vaddr;
+        while va < end {
+            let n = (PAGE_SIZE - va % PAGE_SIZE).min(end - va);
+            let done = (va - vaddr) as usize;
+            f(self.translate(va, write, false)?, done..done + n as usize);
+            va += n;
         }
         Ok(())
     }
@@ -345,7 +346,10 @@ mod tests {
     fn bytes_round_trip_across_pages() {
         let (mut phys, asp) = setup();
         let data: Vec<u8> = (0..=255u8).cycle().take(2 * PAGE_SIZE as usize).collect();
-        asp.write_bytes(&mut phys, 0x1000, &data).expect("write");
+        asp.page_runs(0x1000, data.len() as u64, true, |paddr, run| {
+            phys.write_bytes(paddr, &data[run]);
+        })
+        .expect("write");
         let back = asp
             .read_bytes(&phys, 0x1000, data.len() as u64)
             .expect("read");

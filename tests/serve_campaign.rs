@@ -403,3 +403,31 @@ fn over_long_request_line_closes_only_its_connection() {
     drain(&endpoint).expect("drain");
     daemon.wait();
 }
+
+#[test]
+fn drain_does_not_wait_for_an_idle_client() {
+    use std::os::unix::net::UnixStream;
+    use std::sync::mpsc;
+
+    let dir = temp_dir("idle-client");
+    let endpoint = dir.join("sock").display().to_string();
+    let daemon = Daemon::start(&endpoint, &dir.join("state"), ServeConfig::default())
+        .expect("daemon starts");
+    // Connected, never sends a byte, never hangs up.
+    let idle = UnixStream::connect(&endpoint).expect("connect");
+    // Make sure the daemon has accepted it and parked its handler in a read.
+    status(&endpoint).expect("status");
+
+    drain(&endpoint).expect("drain");
+    let (done, waited) = mpsc::channel();
+    std::thread::spawn(move || {
+        daemon.wait();
+        let _ = done.send(());
+    });
+    let drained = waited.recv_timeout(Duration::from_secs(20));
+    drop(idle);
+    assert!(
+        drained.is_ok(),
+        "wait() must return after drain while a client sits idle"
+    );
+}
