@@ -109,7 +109,10 @@ impl Cli {
             "warm" => match parts.next() {
                 Some("on") => {
                     self.warm_start = true;
-                    println!("warm start on: campaigns restore runs from a CoW checkpoint");
+                    println!(
+                        "warm start on: each campaign run restores the CoW checkpoint \
+                         nearest its fault from a ladder captured in one profiled pass"
+                    );
                 }
                 Some("off") => {
                     self.warm_start = false;
@@ -402,7 +405,7 @@ impl Cli {
             "running {} injection runs ({}{})...",
             runs,
             if self.warm_start {
-                "warm-started from a CoW checkpoint"
+                "warm-started from a CoW checkpoint ladder"
             } else {
                 "cold"
             },
@@ -452,10 +455,15 @@ impl Cli {
         }
         let snap = result.snapshot_stats;
         if snap.restores > 0 {
+            let reported: u64 = result.outcomes.iter().map(|o| o.total_insns).sum();
             println!(
-                "snapshot stats: {} restores, {} insns skipped, \
-                 {} pages shared, {} privatised by CoW",
-                snap.restores, snap.insns_skipped, snap.pages_shared, snap.pages_cow
+                "snapshot stats: {} restores, {} insns skipped ({:.1}% of the runs' \
+                 instructions), {} pages shared, {} privatised by CoW",
+                snap.restores,
+                snap.insns_skipped,
+                100.0 * snap.insns_skipped as f64 / reported.max(1) as f64,
+                snap.pages_shared,
+                snap.pages_cow
             );
         } else {
             println!("snapshot stats: no restores (cold campaign or no usable checkpoint)");
@@ -487,7 +495,9 @@ impl Cli {
         println!("  inject_fault_group …         arm the group injector");
         println!("  run                          execute the armed injection (traced)");
         println!("  trace [dot]                  run and walk the propagation provenance graph");
-        println!("  warm [on|off]                toggle campaign warm start (CoW checkpoint)");
+        println!(
+            "  warm [on|off]                toggle campaign warm start (CoW checkpoint ladder)"
+        );
         println!(
             "  campaign [runs] [shards] [proc] [trace=off|taint|full] [sync=N] [hb=MS] [retries=N]"
         );

@@ -236,7 +236,7 @@ fn hot_path_ablation() {
 }
 
 /// The snapshot/fork ablation: the same 100-run matvec campaign executed
-/// cold vs warm-started from the shared copy-on-write cluster checkpoint.
+/// cold vs warm-started from the shared copy-on-write checkpoint ladder.
 /// Outcome CSVs must be byte-identical; the win is the fault-free prefix
 /// every warm run skips instead of re-executing.
 fn warm_start_ablation() {
@@ -255,19 +255,20 @@ fn warm_start_ablation() {
                 ..CampaignConfig::default()
             },
         );
+        let rungs = campaign.prepare().warm.map_or(0, |w| w.rungs());
         let t0 = Instant::now();
         let result = campaign.run();
-        (t0.elapsed().as_secs_f64(), result)
+        (t0.elapsed().as_secs_f64(), result, rungs)
     };
-    let (t_warm, warm) = campaign(true);
-    let (t_cold, cold) = campaign(false);
+    let (t_warm, warm, rungs) = campaign(true);
+    let (t_cold, cold, _) = campaign(false);
     assert_eq!(
         warm.to_csv(),
         cold.to_csv(),
         "warm and cold campaigns must classify identically"
     );
 
-    let row = |label: &str, t: f64, r: &chaser::CampaignResult| {
+    let row = |label: &str, t: f64, r: &chaser::CampaignResult, rungs: usize| {
         let s = r.snapshot_stats;
         let executed: u64 = r.outcomes.iter().map(|o| o.total_insns).sum();
         let skipped_pct = 100.0 * s.insns_skipped as f64 / executed.max(1) as f64;
@@ -276,24 +277,26 @@ fn warm_start_ablation() {
             format!("{:.1}ms", t * 1e3),
             format!("{:.3}x", t / t_cold),
             format!("{}", s.restores),
+            format!("{rungs}"),
             format!("{} ({:.1}%)", s.insns_skipped, skipped_pct),
             format!("{}/{}", s.pages_cow, s.pages_shared),
         ]
     };
     print_table(
-        "Warm start: 100-run matvec campaign, CoW checkpoint vs cold \
+        "Warm start: 100-run matvec campaign, CoW checkpoint ladder vs cold \
          (identical outcome sets)",
         &[
             "config",
             "wall clock",
             "vs cold",
             "restores",
+            "rungs",
             "insns skipped",
             "pages CoW/shared",
         ],
         &[
-            row("warm_start=true", t_warm, &warm),
-            row("warm_start=false", t_cold, &cold),
+            row("warm_start=true", t_warm, &warm, rungs),
+            row("warm_start=false", t_cold, &cold, 0),
         ],
     );
 }

@@ -1,17 +1,24 @@
 //! CI smoke test for the cluster snapshot/fork subsystem: runs the same
 //! small matvec campaign cold and warm-started (every injection run
-//! restored from the shared copy-on-write checkpoint) and diffs the
+//! restored from the shared copy-on-write checkpoint ladder) and diffs the
 //! outcome CSVs, which must be byte-identical. Also checks the ablation
-//! claim: warm runs skip a non-trivial fault-free prefix.
+//! claim: warm runs skip a non-trivial fault-free prefix. A CLAMR stage
+//! repeats the diff under trace=off and trace=full and requires the
+//! restored rungs to cover at least half of the runs' reported
+//! instructions.
 //!
 //! `cargo run --release -p chaser-bench --bin warm_start_smoke`
 //!
 //! Exits non-zero (panics) on any divergence; prints a one-line summary
 //! per stage otherwise.
 
-use chaser::{AppSpec, Campaign, CampaignConfig, RankPool};
+use chaser::{AppSpec, Campaign, CampaignConfig, RankPool, TraceRegime};
 use chaser_isa::InsnClass;
-use chaser_workloads::matvec;
+use chaser_workloads::{clamr, matvec};
+
+/// Least share of the warm CLAMR runs' reported instructions that the
+/// restored rungs must have skipped.
+const CLAMR_SKIP_FLOOR: f64 = 0.5;
 
 fn campaign(warm_start: bool) -> Campaign {
     let mv = matvec::MatvecConfig::default();
@@ -88,5 +95,53 @@ fn main() {
         s.pages_cow,
         100.0 * s.pages_cow as f64 / s.pages_shared.max(1) as f64,
     );
+
+    // Stage 4: CLAMR under both trace regimes — late triggers restore late
+    // rungs, so most of every run's prefix is skipped.
+    for regime in [TraceRegime::Off, TraceRegime::Full] {
+        let cold = clamr_campaign(false, regime).run();
+        let warm = clamr_campaign(true, regime).run();
+        assert_eq!(
+            cold.to_csv(),
+            warm.to_csv(),
+            "warm-start CLAMR campaign diverged from the cold run ({})",
+            regime.name()
+        );
+        let s = warm.snapshot_stats;
+        let total: u64 = warm.outcomes.iter().map(|r| r.total_insns).sum();
+        let share = s.insns_skipped as f64 / total.max(1) as f64;
+        println!(
+            "clamr trace={}: outcome CSV byte-identical, {} restores skipped {:.1}% of reported totals",
+            regime.name(),
+            s.restores,
+            100.0 * share
+        );
+        assert!(
+            share >= CLAMR_SKIP_FLOOR,
+            "warm CLAMR runs skipped only {:.1}% of their instructions (floor {:.0}%)",
+            100.0 * share,
+            100.0 * CLAMR_SKIP_FLOOR
+        );
+    }
     println!("warm start smoke: OK");
+}
+
+fn clamr_campaign(warm_start: bool, trace_regime: TraceRegime) -> Campaign {
+    let cfg = clamr::ClamrConfig::default();
+    let app = AppSpec::replicated(clamr::program(&cfg), cfg.ranks as usize, cfg.ranks as usize);
+    Campaign::new(
+        app,
+        CampaignConfig {
+            runs: 40,
+            seed: 0xC1A4,
+            parallelism: 2,
+            classes: vec![InsnClass::FpArith],
+            rank_pool: RankPool::Random,
+            tracing: true,
+            provenance: true,
+            trace_regime,
+            warm_start,
+            ..CampaignConfig::default()
+        },
+    )
 }

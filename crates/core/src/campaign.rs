@@ -8,7 +8,7 @@ use crate::journal::{
 use crate::outcome::{Outcome, TermCause};
 use crate::provenance::ProvenanceGraph;
 use crate::session::{
-    prepare_app, run_app, run_prepared, run_warm, warm_start_for, AppSpec, PreparedApp, RunOptions,
+    prepare_app, prepare_warm, run_app, run_prepared, run_warm, AppSpec, PreparedApp, RunOptions,
     RunReport, SnapshotStats, TraceRegime, WarmStartOptions,
 };
 use crate::shard::{ShardChaos, ShardCtl, ShardStats, ShardSupervision, ShardWorkers};
@@ -816,34 +816,34 @@ impl Campaign {
     /// Prepares the application for this campaign: golden run, profiling
     /// run, and (warmed by the golden run) the per-node base translation
     /// caches shared across workers when `cfg.shared_tb_cache` is set.
-    /// With `cfg.warm_start`, additionally captures the shared
-    /// copy-on-write checkpoint every injection run restores from.
+    /// With `cfg.warm_start`, the profiling run is the capture pass that
+    /// also records the copy-on-write checkpoint ladder injection runs
+    /// restore from.
     pub fn prepare(&self) -> PreparedApp {
-        let mut prepared = prepare_app(&self.app, &self.cfg.classes);
-        if self.cfg.warm_start {
-            let ranks: Vec<u32> = match self.cfg.rank_pool {
-                RankPool::Master => vec![0],
-                RankPool::Random => (0..self.app.nranks()).collect(),
-            };
-            let (eff_tracing, eff_provenance) = self
-                .cfg
-                .trace_regime
-                .effective(self.cfg.tracing, self.cfg.provenance);
-            prepared.warm = warm_start_for(
-                &prepared,
-                &WarmStartOptions {
-                    classes: self.cfg.classes.clone(),
-                    ranks,
-                    // The prefix must be captured under the regime the
-                    // injection runs execute with, so the regime-effective
-                    // flags go in, not the raw config booleans.
-                    tracing: eff_tracing,
-                    provenance: eff_provenance,
-                    budget: self.cfg.run_budget,
-                },
-            );
+        if !self.cfg.warm_start {
+            return prepare_app(&self.app, &self.cfg.classes);
         }
-        prepared
+        let ranks: Vec<u32> = match self.cfg.rank_pool {
+            RankPool::Master => vec![0],
+            RankPool::Random => (0..self.app.nranks()).collect(),
+        };
+        let (eff_tracing, eff_provenance) = self
+            .cfg
+            .trace_regime
+            .effective(self.cfg.tracing, self.cfg.provenance);
+        prepare_warm(
+            &self.app,
+            &WarmStartOptions {
+                classes: self.cfg.classes.clone(),
+                ranks,
+                // The ladder must be captured under the regime the
+                // injection runs execute with, so the regime-effective
+                // flags go in, not the raw config booleans.
+                tracing: eff_tracing,
+                provenance: eff_provenance,
+                budget: self.cfg.run_budget,
+            },
+        )
     }
 
     /// Executes the campaign: one golden + one profiling run, then

@@ -178,13 +178,21 @@ pub struct Injector {
 impl Injector {
     /// An injector executing `spec`.
     pub fn new(spec: InjectionSpec) -> Arc<Injector> {
+        Injector::resumed(spec, 0)
+    }
+
+    /// An injector whose trigger counter starts at `exec_count`: the
+    /// targeted-class executions a restored checkpoint already retired.
+    /// Its random stream starts unadvanced, so only triggers that draw
+    /// nothing before firing ([`Trigger::AfterN`]) may resume past 0.
+    pub(crate) fn resumed(spec: InjectionSpec, exec_count: u64) -> Arc<Injector> {
         let rng = SmallRng::seed_from_u64(spec.seed);
         Arc::new(Injector {
             spec,
             state: Mutex::new(InjState {
                 seen_creations: 0,
                 active: None,
-                exec_count: 0,
+                exec_count,
                 injections_done: 0,
                 rng,
                 records: Vec::new(),
@@ -442,7 +450,14 @@ pub struct ProfileHook {
 struct ProfileState {
     seen_creations: u32,
     rank_of: HashMap<(u32, u64), u32>,
-    counts: HashMap<(u32, usize), u64>,
+    /// Each execution counted once, under the first class it is in,
+    /// indexed `rank * classes + class index` — the inject point id the
+    /// translate hook hands out, so the sink does no lookup.
+    counts: Vec<u64>,
+    /// Executions in a class that an earlier class of the list already
+    /// counted (classes overlap: a `fadd` is also `FpArith`); same
+    /// indexing.
+    overlap: Vec<u64>,
 }
 
 impl ProfileHook {
@@ -460,30 +475,45 @@ impl ProfileHook {
 
     /// The dynamic execution count of `classes[class_idx]` in `rank`.
     pub fn count(&self, rank: u32, class_idx: usize) -> u64 {
-        *self
-            .state
-            .lock()
-            .counts
-            .get(&(rank, class_idx))
-            .unwrap_or(&0)
+        if class_idx >= self.classes.len() {
+            return 0;
+        }
+        let slot = rank as usize * self.classes.len() + class_idx;
+        self.state.lock().counts.get(slot).copied().unwrap_or(0)
     }
 
-    /// All `(rank, class index) → count` pairs.
+    /// All `(rank, class index) → count` pairs with a non-zero count.
     pub fn counts(&self) -> HashMap<(u32, usize), u64> {
-        self.state.lock().counts.clone()
+        let nclasses = self.classes.len();
+        let st = self.state.lock();
+        st.counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &n)| n > 0)
+            .map(|(slot, &n)| (((slot / nclasses) as u32, slot % nclasses), n))
+            .collect()
+    }
+
+    /// Executions of each class in each rank, counted the way an
+    /// [`Injector`] targeting that class counts them (every class the
+    /// instruction is in, not only the first): flat, indexed
+    /// `rank * classes + class index`, for ranks `0..nranks`.
+    pub(crate) fn trigger_counts(&self, nranks: u32) -> Vec<u64> {
+        let st = self.state.lock();
+        let mut flat = vec![0; nranks as usize * self.classes.len()];
+        for (slot, n) in flat.iter_mut().enumerate() {
+            *n = st.counts.get(slot).copied().unwrap_or(0)
+                + st.overlap.get(slot).copied().unwrap_or(0);
+        }
+        flat
     }
 }
 
 impl NodeTranslateHook for ProfileHook {
     fn inject_point(&self, node: u32, pid: u64, _pc: u64, insn: &Instruction) -> Option<u64> {
-        let st = self.state.lock();
-        if !st.rank_of.contains_key(&(node, pid)) {
-            return None;
-        }
-        self.classes
-            .iter()
-            .position(|c| insn.is_in_class(*c))
-            .map(|i| i as u64)
+        let rank = *self.state.lock().rank_of.get(&(node, pid))?;
+        let first = self.classes.iter().position(|c| insn.is_in_class(*c))?;
+        Some((rank as usize * self.classes.len() + first) as u64)
     }
 }
 
@@ -495,12 +525,18 @@ impl InjectSink for ProfileHandle {
     fn on_inject_point(
         &mut self,
         point: u64,
-        _insn: &Instruction,
-        ctx: &mut GuestCtx<'_>,
+        insn: &Instruction,
+        _ctx: &mut GuestCtx<'_>,
     ) -> InjectAction {
+        let classes = &self.0.classes;
+        let slot = point as usize;
+        let first = slot % classes.len();
         let mut st = self.0.state.lock();
-        if let Some(&rank) = st.rank_of.get(&(ctx.node, ctx.pid)) {
-            *st.counts.entry((rank, point as usize)).or_insert(0) += 1;
+        st.counts[slot] += 1;
+        for (ci, class) in classes.iter().enumerate().skip(first + 1) {
+            if insn.is_in_class(*class) {
+                st.overlap[slot - first + ci] += 1;
+            }
         }
         InjectAction::default()
     }
@@ -515,6 +551,9 @@ impl VmiSink for ProfileHandle {
         let rank = st.seen_creations;
         st.seen_creations += 1;
         st.rank_of.insert((node, pid), rank);
+        let slots = (rank as usize + 1) * self.0.classes.len();
+        st.counts.resize(slots, 0);
+        st.overlap.resize(slots, 0);
         VmiAction::FLUSH
     }
 }

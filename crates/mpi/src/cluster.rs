@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Per-run watchdog budgets, enforced by the scheduler (rounds) and down in
 /// the `chaser-vm` engine loop (instructions). `0` disables a bound.
@@ -914,8 +914,23 @@ impl Cluster {
     /// Hooks, observers and translation caches are not captured: they are
     /// per-run wiring and derived state, re-attached after a restore the
     /// same way a cold run wires them.
+    ///
+    /// The snapshot is stamped with the live cluster's
+    /// [`Cluster::state_digest`].
     pub fn snapshot(&mut self) -> ClusterSnapshot {
         let digest = self.state_digest();
+        let snap = self.snapshot_unstamped();
+        snap.digest
+            .set(digest)
+            .expect("a fresh snapshot is unstamped");
+        snap
+    }
+
+    /// [`Cluster::snapshot`] without the digest stamp, which hashes every
+    /// resident page and costs more than the capture itself; the digest is
+    /// computed from a restore when first asked for. For checkpoints taken
+    /// in bulk, such as a warm-start ladder.
+    pub fn snapshot_unstamped(&mut self) -> ClusterSnapshot {
         let total_insns = self.total_insns();
         ClusterSnapshot {
             nodes: self.nodes.iter_mut().map(Node::snapshot).collect(),
@@ -934,7 +949,7 @@ impl Cluster {
             taint_sync_lost: self.taint_sync_lost,
             hub_rng: self.hub_rng.clone(),
             total_insns,
-            digest,
+            digest: OnceLock::new(),
         }
     }
 
@@ -1932,14 +1947,22 @@ pub struct ClusterSnapshot {
     taint_sync_lost: u64,
     hub_rng: Option<SmallRng>,
     total_insns: u64,
-    digest: u64,
+    digest: OnceLock<u64>,
 }
 
 impl ClusterSnapshot {
     /// The [`Cluster::state_digest`] at capture time — restoring and
-    /// immediately digesting must reproduce this value.
+    /// immediately digesting must reproduce this value. Snapshots taken
+    /// with [`Cluster::snapshot_unstamped`] compute it from a restore on
+    /// first call.
     pub fn digest(&self) -> u64 {
-        self.digest
+        *self.digest.get_or_init(|| {
+            let cfg = ClusterConfig {
+                nodes: self.nodes.len(),
+                ..ClusterConfig::default()
+            };
+            Cluster::from_snapshot(cfg, self).state_digest()
+        })
     }
 
     /// The scheduler round the snapshot was taken at.

@@ -167,6 +167,9 @@ fn check_equivalence(
         snap.digest(),
         "digest must cover exactly the captured state"
     );
+    // An unstamped snapshot of the same state digests the same on demand.
+    let unstamped = original.snapshot_unstamped();
+    prop_assert_eq!(unstamped.digest(), snap.digest());
 
     // The snapshotted original resumes unperturbed (CoW leaves it intact).
     let orig_run = original.run();
@@ -184,6 +187,8 @@ fn check_equivalence(
     let res_run = restored.run();
     prop_assert_eq!(restored.state_digest(), ref_digest);
     prop_assert_eq!(dump(&res_run), dump(&ref_run));
+    let mut from_unstamped = Cluster::from_snapshot(config(nodes, quantum), &unstamped);
+    prop_assert_eq!(dump(&from_unstamped.run()), dump(&ref_run));
     Ok(())
 }
 

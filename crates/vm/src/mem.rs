@@ -95,11 +95,14 @@ impl MemStats {
 }
 
 /// A frozen, `Arc`-shared image of a `PhysMemory`, cheap to clone and safe
-/// to hand to many worker threads at once. Never-written pages stay `None`
-/// so a snapshot costs storage proportional to the resident set only.
+/// to hand to many worker threads at once. Holds slots only up to the
+/// highest page ever written (never beyond the frames handed out, in
+/// practice) and never-written pages stay `None`, so a snapshot costs
+/// storage proportional to the touched frames, not to the node's capacity.
 #[derive(Debug, Clone)]
 pub struct MemSnapshot {
     pages: Vec<Option<Arc<Page>>>,
+    capacity_pages: usize,
     next_frame: u64,
 }
 
@@ -116,6 +119,10 @@ impl MemSnapshot {
 /// a fresh node, so reclamation buys nothing and would complicate the
 /// deterministic replay story.
 ///
+/// The page table is sparse: capacity is a number, and the slot vector
+/// grows only up to the highest page written so far. A fresh or restored
+/// node therefore allocates nothing proportional to its capacity.
+///
 /// All multi-byte accessors (`read_u64`, `read_bytes`, ...) require the
 /// access to stay within one physical page. Every caller honours this:
 /// frames are page-aligned and the paging layer chunks virtually-contiguous
@@ -123,6 +130,7 @@ impl MemSnapshot {
 #[derive(Clone)]
 pub struct PhysMemory {
     pages: Vec<Option<PageState>>,
+    capacity_pages: usize,
     next_frame: u64,
     stats: MemStats,
 }
@@ -131,9 +139,9 @@ impl PhysMemory {
     /// Allocates `size` bytes of zeroed guest RAM (rounded up to a page).
     /// Storage is lazy: untouched pages occupy no memory.
     pub fn new(size: u64) -> PhysMemory {
-        let npages = size.div_ceil(PAGE_SIZE) as usize;
         PhysMemory {
-            pages: vec![None; npages],
+            pages: Vec::new(),
+            capacity_pages: size.div_ceil(PAGE_SIZE) as usize,
             next_frame: 0,
             stats: MemStats::default(),
         }
@@ -141,7 +149,7 @@ impl PhysMemory {
 
     /// Total capacity in bytes.
     pub fn capacity(&self) -> u64 {
-        self.pages.len() as u64 * PAGE_SIZE
+        self.capacity_pages as u64 * PAGE_SIZE
     }
 
     /// Allocates one zeroed frame, returning its physical base address, or
@@ -159,10 +167,25 @@ impl PhysMemory {
     /// The resident page backing `paddr` for reads, or the zero page.
     #[inline]
     fn page(&self, paddr: u64) -> &Page {
-        match &self.pages[(paddr / PAGE_SIZE) as usize] {
-            Some(state) => state.bytes(),
-            None => &ZERO_PAGE,
+        let idx = (paddr / PAGE_SIZE) as usize;
+        match self.pages.get(idx) {
+            Some(Some(state)) => state.bytes(),
+            _ => {
+                self.check_capacity(idx);
+                &ZERO_PAGE
+            }
         }
+    }
+
+    /// Panics when page `idx` lies beyond capacity: physical addresses only
+    /// come from the page tables, so this is a VM bug, not a guest fault.
+    #[inline]
+    fn check_capacity(&self, idx: usize) {
+        assert!(
+            idx < self.capacity_pages,
+            "physical page {idx} beyond capacity ({} pages)",
+            self.capacity_pages
+        );
     }
 
     /// The private, writable page backing `paddr`, materialising zero pages
@@ -170,7 +193,7 @@ impl PhysMemory {
     #[inline]
     fn page_mut(&mut self, paddr: u64) -> &mut Page {
         let idx = (paddr / PAGE_SIZE) as usize;
-        if !matches!(self.pages[idx], Some(PageState::Owned(_))) {
+        if !matches!(self.pages.get(idx), Some(Some(PageState::Owned(_)))) {
             self.own_page(idx);
         }
         match &mut self.pages[idx] {
@@ -180,10 +203,15 @@ impl PhysMemory {
     }
 
     /// Makes page `idx`, which is not owned yet, private: copies a shared
-    /// page (counting the copy-on-write) or materialises a zero page.
+    /// page (counting the copy-on-write) or materialises a zero page,
+    /// growing the slot vector up to `idx` when needed.
     #[cold]
     #[inline(never)]
     fn own_page(&mut self, idx: usize) {
+        self.check_capacity(idx);
+        if idx >= self.pages.len() {
+            self.pages.resize(idx + 1, None);
+        }
         let slot = &mut self.pages[idx];
         let page = match slot {
             Some(PageState::Shared(shared)) => {
@@ -276,6 +304,7 @@ impl PhysMemory {
             .collect();
         MemSnapshot {
             pages,
+            capacity_pages: self.capacity_pages,
             next_frame: self.next_frame,
         }
     }
@@ -296,6 +325,7 @@ impl PhysMemory {
             .collect();
         PhysMemory {
             pages,
+            capacity_pages: snap.capacity_pages,
             next_frame: snap.next_frame,
             stats: MemStats {
                 pages_shared: shared,
@@ -431,6 +461,49 @@ mod tests {
         assert_eq!(m.read_u8(10), 2);
         assert_eq!(PhysMemory::from_snapshot(&snap).read_u8(10), 1);
         assert_eq!(m.stats().pages_cow, 1, "post-capture write pays one CoW");
+    }
+
+    #[test]
+    fn slots_track_touched_frames_not_capacity() {
+        let mut m = PhysMemory::default();
+        assert!(m.pages.is_empty(), "a fresh node allocates no slots");
+        let a = m.alloc_frame().expect("frame a");
+        let b = m.alloc_frame().expect("frame b");
+        m.write_u8(b + 3, 7);
+        assert_eq!(m.pages.len(), 2);
+        assert_eq!(m.read_u8(a), 0);
+        let snap = m.snapshot();
+        assert_eq!(snap.pages.len(), 2, "snapshot pins only touched frames");
+        let r = PhysMemory::from_snapshot(&snap);
+        assert_eq!(r.pages.len(), 2);
+        assert_eq!(r.capacity(), DEFAULT_PHYS_BYTES);
+        assert_eq!(r.read_u8(b + 3), 7);
+        // Reads of untouched frames inside capacity stay lazy.
+        assert_eq!(r.read_u64(100 * PAGE_SIZE), 0);
+        assert_eq!(r.pages.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond capacity")]
+    fn write_beyond_capacity_panics() {
+        let mut m = PhysMemory::new(2 * PAGE_SIZE);
+        m.write_u8(2 * PAGE_SIZE, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond capacity")]
+    fn restored_write_beyond_capacity_panics() {
+        let mut m = PhysMemory::new(2 * PAGE_SIZE);
+        m.write_u8(0, 1);
+        let mut r = PhysMemory::from_snapshot(&m.snapshot());
+        r.write_u64(2 * PAGE_SIZE + 8, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond capacity")]
+    fn read_beyond_capacity_panics() {
+        let m = PhysMemory::new(2 * PAGE_SIZE);
+        m.read_u8(5 * PAGE_SIZE);
     }
 
     #[test]
